@@ -1,15 +1,17 @@
 //! Serving-path benchmark: measured p50/p99 latency and queries/second
-//! of the HTTP front end, swept over the admission batcher's
-//! latency-budget knob — the number that tells you what batch locality
-//! costs (per-request latency) and buys (throughput) on this machine.
+//! of the HTTP front end, swept over the number of concurrent keep-alive
+//! clients. Admission is work-conserving — a lone request is answered at
+//! once and batches form only from the backlog of busy workers — so the
+//! sweep shows where batching starts: one client never batches, eight
+//! clients on two workers build a backlog and the mean batch grows.
 //!
-//! For each budget the bench starts a [`QseServer`] over a routed `u8`
-//! index (snapshot-loadable deployment shape), drives it with concurrent
-//! keep-alive TCP clients replaying a duplicate-scattered query mix, and
-//! prints one row:
+//! For each client count the bench starts a [`QseServer`] over a routed
+//! `u8` index (snapshot-loadable deployment shape), drives it with that
+//! many keep-alive TCP clients replaying a duplicate-scattered query mix,
+//! and prints one row:
 //!
 //! ```text
-//! serving/np6of32/budget500us  p50 1.92ms  p99 6.01ms  3610 req/s  mean batch 5.3  dedupe 31
+//! serving/np6of32/clients8  p50 1.72ms  p99 3.55ms  4427 req/s  mean batch 2.7  deduped 89
 //! ```
 //!
 //! Run with `cargo bench -p qse-bench --bench bench_serving`; the
@@ -21,7 +23,7 @@ use qse_core::{BoostMapTrainer, TrainerConfig, TrainingData, TripleSampler};
 use qse_dataset::{GaussianMixture, GaussianMixtureConfig};
 use qse_distance::LpDistance;
 use qse_retrieval::{ConcurrentIndex, DynamicIndex, RoutedConfig, RoutedIndex};
-use qse_serve::{BatcherConfig, QseApi, QseServer, ServeConfig};
+use qse_serve::{QseApi, QseServer, ServeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
@@ -34,8 +36,20 @@ const P: usize = 100;
 struct Load {
     rows: usize,
     dim: usize,
-    clients: usize,
-    requests_per_client: usize,
+    /// Closed-loop requests per cell, split evenly across its clients.
+    requests: usize,
+}
+
+/// The closed-loop request mix: every third request repeats an earlier
+/// query, so the deduped column reflects a realistic repeated-query
+/// share.
+fn request_bodies(load: &Load, queries: &[Vec<f64>]) -> Vec<String> {
+    (0..load.requests)
+        .map(|i| {
+            let qi = if i % 3 == 2 { i / 2 } else { i } % queries.len();
+            query_body(&queries[qi])
+        })
+        .collect()
 }
 
 fn train_model(database: &[Vec<f64>], distance: &LpDistance) -> qse_core::QseModel<Vec<f64>> {
@@ -121,38 +135,19 @@ fn percentile(sorted: &[Duration], q: f64) -> Duration {
     sorted[idx]
 }
 
-/// One bench cell: serve `api` with the given latency budget, drive the
-/// concurrent load, report the latency histogram and throughput.
-fn run_cell(load: &Load, api: QseApi, queries: &[Vec<f64>], budget: Duration, label: &str) {
-    // Pre-rendered bodies with duplicates scattered through the mix
-    // (every third request repeats an earlier query), so the dedupe
-    // column reflects a realistic repeated-query share.
-    let bodies: Vec<String> = (0..load.clients * load.requests_per_client)
-        .map(|i| {
-            let qi = if i % 3 == 2 { i / 2 } else { i } % queries.len();
-            query_body(&queries[qi])
-        })
-        .collect();
-
-    let mut server = QseServer::start(
-        api,
-        ServeConfig {
-            batcher: BatcherConfig {
-                latency_budget: budget,
-                max_batch: 64,
-                workers: 2,
-            },
-            ..ServeConfig::default()
-        },
-    )
-    .expect("server start");
+/// One bench cell: serve `api` to `clients` closed-loop keep-alive
+/// clients, report the latency histogram, throughput and how much the
+/// backlog batched and deduplicated.
+fn run_cell(load: &Load, api: QseApi, queries: &[Vec<f64>], clients: usize, label: &str) {
+    let bodies = request_bodies(load, queries);
+    let mut server = QseServer::start(api, ServeConfig::default()).expect("server start");
     let addr: SocketAddr = server.addr();
 
     let wall = Instant::now();
     let mut latencies: Vec<Duration> = Vec::with_capacity(bodies.len());
     std::thread::scope(|scope| {
         let handles: Vec<_> = bodies
-            .chunks(load.requests_per_client)
+            .chunks(bodies.len().div_ceil(clients))
             .map(|chunk| {
                 scope.spawn(move || {
                     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -178,7 +173,7 @@ fn run_cell(load: &Load, api: QseApi, queries: &[Vec<f64>], budget: Duration, la
     latencies.sort();
     let stats = server.batcher_stats();
     println!(
-        "serving/{label}  p50 {:.2?}  p99 {:.2?}  {:.0} req/s  mean batch {:.1}  dedupe {}",
+        "serving/{label}  p50 {:.2?}  p99 {:.2?}  {:.0} req/s  mean batch {:.1}  deduped {}",
         percentile(&latencies, 0.50),
         percentile(&latencies, 0.99),
         latencies.len() as f64 / wall.as_secs_f64(),
@@ -203,7 +198,6 @@ fn run_cell(load: &Load, api: QseApi, queries: &[Vec<f64>], budget: Duration, la
 fn run_open_loop_cell(
     api: QseApi,
     queries: &[Vec<f64>],
-    budget: Duration,
     conns: usize,
     offered_qps: f64,
     total: usize,
@@ -223,18 +217,7 @@ fn run_open_loop_cell(
         schedule.push((offset, query_body(&queries[qi])));
     }
 
-    let mut server = QseServer::start(
-        api,
-        ServeConfig {
-            batcher: BatcherConfig {
-                latency_budget: budget,
-                max_batch: 64,
-                workers: 2,
-            },
-            ..ServeConfig::default()
-        },
-    )
-    .expect("server start");
+    let mut server = QseServer::start(api, ServeConfig::default()).expect("server start");
     let addr: SocketAddr = server.addr();
 
     let start = Instant::now();
@@ -316,31 +299,15 @@ fn run_read_while_write_cell(
     load: &Load,
     api: QseApi,
     queries: &[Vec<f64>],
-    budget: Duration,
+    clients: usize,
     writer_on: bool,
     label: &str,
 ) {
     let n = api.len();
     let dim = api.dim();
-    let bodies: Vec<String> = (0..load.clients * load.requests_per_client)
-        .map(|i| {
-            let qi = if i % 3 == 2 { i / 2 } else { i } % queries.len();
-            query_body(&queries[qi])
-        })
-        .collect();
+    let bodies = request_bodies(load, queries);
 
-    let mut server = QseServer::start(
-        api,
-        ServeConfig {
-            batcher: BatcherConfig {
-                latency_budget: budget,
-                max_batch: 64,
-                workers: 2,
-            },
-            ..ServeConfig::default()
-        },
-    )
-    .expect("server start");
+    let mut server = QseServer::start(api, ServeConfig::default()).expect("server start");
     let addr: SocketAddr = server.addr();
 
     let done = std::sync::atomic::AtomicBool::new(false);
@@ -373,7 +340,7 @@ fn run_read_while_write_cell(
             })
         });
         let handles: Vec<_> = bodies
-            .chunks(load.requests_per_client)
+            .chunks(bodies.len().div_ceil(clients))
             .map(|chunk| {
                 scope.spawn(move || {
                     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -418,46 +385,36 @@ fn main() {
         Load {
             rows: 2_000,
             dim: 16,
-            clients: 4,
-            requests_per_client: 8,
+            requests: 32,
         }
     } else {
         Load {
             rows: 50_000,
             dim: 32,
-            clients: 8,
-            requests_per_client: 96,
+            requests: 768,
         }
-    };
-    let budgets: &[(Duration, &str)] = if smoke {
-        &[(Duration::from_micros(500), "budget500us")]
-    } else {
-        &[
-            (Duration::ZERO, "budget0"),
-            (Duration::from_micros(250), "budget250us"),
-            (Duration::from_micros(500), "budget500us"),
-            (Duration::from_millis(2), "budget2ms"),
-        ]
     };
 
     let setup = Instant::now();
     println!(
-        "serving bench: routed u8 index, {} rows dim {}, {} clients × {} requests, k={K} p={P}",
-        load.rows, load.dim, load.clients, load.requests_per_client
+        "serving bench: routed u8 index, {} rows dim {}, {} requests per cell, k={K} p={P}",
+        load.rows, load.dim, load.requests
     );
-    for (budget, tag) in budgets {
+    // Client-count sweep: one client is a lone request at a time (no
+    // backlog, batch size 1); two clients match the two workers; eight
+    // clients queue behind busy workers, which is where batches form.
+    for clients in [1, 2, 8] {
         // Each cell gets a fresh index build (the facade moves into the
         // server); identical seeds make every cell serve identical state.
         let (api, queries) = build_api(&load);
-        let label = format!("np6of32/{tag}");
-        run_cell(&load, api, &queries, *budget, &label);
+        let label = format!("np6of32/clients{clients}");
+        run_cell(&load, api, &queries, clients, &label);
     }
 
-    // Open-loop sweep at one batching budget: offered rates straddling
-    // the closed-loop throughput, so the output shows both a keeping-up
-    // cell (achieved ≈ offered, low p99) and a saturated cell (achieved
-    // < offered, queueing-dominated p99).
-    let open_budget = Duration::from_micros(500);
+    // Open-loop sweep: offered rates straddling the closed-loop
+    // throughput, so the output shows both a keeping-up cell (achieved ≈
+    // offered, low p99) and a saturated cell (achieved < offered,
+    // queueing-dominated p99).
     let open_cells: &[(f64, usize, usize)] = if smoke {
         &[(200.0, 4, 32)] // (offered req/s, connections, total requests)
     } else {
@@ -469,15 +426,15 @@ fn main() {
     };
     for &(offered, conns, total) in open_cells {
         let (api, queries) = build_api(&load);
-        let label = format!("np6of32/budget500us/{}qps", offered as u64);
-        run_open_loop_cell(api, &queries, open_budget, conns, offered, total, &label);
+        let label = format!("np6of32/{}qps", offered as u64);
+        run_open_loop_cell(api, &queries, conns, offered, total, &label);
     }
 
     // Read-latency-under-write pair over the concurrent index: the same
-    // closed-loop drive against the same workload, first with the write
-    // handle idle, then with a background writer landing insert/remove
-    // pairs over HTTP throughout. The gap between the two p99 columns
-    // is what live mutation costs concurrent readers.
+    // closed-loop drive (eight clients) against the same workload, first
+    // with the write handle idle, then with a background writer landing
+    // insert/remove pairs over HTTP throughout. The gap between the two
+    // p99 columns is what live mutation costs concurrent readers.
     for writer_on in [false, true] {
         let (api, queries) = build_concurrent_api(&load);
         let tag = if writer_on {
@@ -489,9 +446,9 @@ fn main() {
             &load,
             api,
             &queries,
-            Duration::from_micros(500),
+            8,
             writer_on,
-            &format!("flat-u8/budget500us/{tag}"),
+            &format!("flat-u8/clients8/{tag}"),
         );
     }
     eprintln!("total bench wall time {:.2?}", setup.elapsed());

@@ -49,9 +49,9 @@
 use crate::dynamic::DynamicIndex;
 use crate::error::{check_p_scale, check_query_params, QueryError};
 use crate::filter_refine::{
-    effective_p, tiled_query_pipeline, top_p_by_score, FilterElem, FlatStore,
+    effective_p, tiled_query_pipeline, top_p_by_score, FilterElem, FlatStore, RetrievalOutcome,
 };
-use crate::knn::knn;
+use crate::knn::refine_in_place;
 use qse_core::QseModel;
 use qse_distance::DistanceMeasure;
 use qse_embedding::{CompositeEmbedding, Embedding};
@@ -707,6 +707,22 @@ impl<O: Clone + Send + Sync, E: FilterElem> Snapshot<O, E> {
         k: usize,
         p: usize,
     ) -> Result<Vec<usize>, QueryError> {
+        self.try_retrieve_outcome(query, distance, k, p)
+            .map(|outcome| outcome.neighbors)
+    }
+
+    /// [`Self::try_retrieve`] with the refine step's exact distances and
+    /// exact-distance costs, all from this epoch.
+    ///
+    /// # Errors
+    /// As [`Self::try_retrieve`].
+    pub fn try_retrieve_outcome(
+        &self,
+        query: &O,
+        distance: &dyn DistanceMeasure<O>,
+        k: usize,
+        p: usize,
+    ) -> Result<RetrievalOutcome, QueryError> {
         self.validate(k, p)?;
         let eq = self.model.embed_query(query, distance);
         let n = self.idmap.len();
@@ -735,6 +751,29 @@ impl<O: Clone + Send + Sync, E: FilterElem> Snapshot<O, E> {
     where
         O: PartialEq,
     {
+        let outcomes = self.try_retrieve_outcome_batch(queries, distance, k, p)?;
+        Ok(outcomes.into_iter().map(|o| o.neighbors).collect())
+    }
+
+    /// [`Self::try_retrieve_batch`] with each query's exact distances and
+    /// costs, as [`Self::try_retrieve_outcome`] reports them.
+    ///
+    /// # Errors
+    /// As [`Self::try_retrieve_batch`].
+    pub fn try_retrieve_outcome_batch(
+        &self,
+        queries: &[O],
+        distance: &dyn DistanceMeasure<O>,
+        k: usize,
+        p: usize,
+    ) -> Result<Vec<RetrievalOutcome>, QueryError>
+    where
+        O: PartialEq,
+    {
+        if let [query] = queries {
+            // A one-query batch has nothing to share a scan with.
+            return Ok(vec![self.try_retrieve_outcome(query, distance, k, p)?]);
+        }
         if queries.is_empty() {
             return Err(QueryError::EmptyBatch);
         }
@@ -776,10 +815,16 @@ impl<O: Clone + Send + Sync, E: FilterElem> Snapshot<O, E> {
         distance: &dyn DistanceMeasure<O>,
         k: usize,
         order: &[usize],
-    ) -> Vec<usize> {
-        let candidates: Vec<O> = order.iter().map(|&g| self.object(g).clone()).collect();
-        let refined = knn(query, &candidates, distance, k);
-        refined.neighbors.into_iter().map(|i| order[i]).collect()
+    ) -> RetrievalOutcome {
+        let embedding_cost = self.model.embedding_cost();
+        refine_in_place(
+            query,
+            order,
+            |g| self.object(g),
+            distance,
+            k,
+            embedding_cost,
+        )
     }
 }
 

@@ -10,8 +10,10 @@
 //! [`QseModel`].
 
 use crate::error::{check_query_params, QueryError};
-use crate::filter_refine::{tiled_query_pipeline, top_p_by_score, FilterElem, FlatStore};
-use crate::knn::knn;
+use crate::filter_refine::{
+    tiled_query_pipeline, top_p_by_score, FilterElem, FlatStore, RetrievalOutcome,
+};
+use crate::knn::refine_in_place;
 use crate::routed::{probe_prefix, top_ids_by_score, RoutedConfig};
 use qse_core::{QseModel, TripleSampler};
 use qse_distance::{DistanceMatrix, DistanceMeasure};
@@ -438,6 +440,23 @@ impl<O: Clone + Send + Sync, E: FilterElem> DynamicIndex<O, E> {
         k: usize,
         p: usize,
     ) -> Result<Vec<usize>, QueryError> {
+        self.try_retrieve_outcome(query, distance, k, p)
+            .map(|outcome| outcome.neighbors)
+    }
+
+    /// [`Self::try_retrieve`] with the refine step's exact distances and
+    /// exact-distance costs: the form a serving layer answers from, so it
+    /// never recomputes a distance the refine step already measured.
+    ///
+    /// # Errors
+    /// As [`Self::try_retrieve`].
+    pub fn try_retrieve_outcome(
+        &self,
+        query: &O,
+        distance: &dyn DistanceMeasure<O>,
+        k: usize,
+        p: usize,
+    ) -> Result<RetrievalOutcome, QueryError> {
         self.validate(k, p)?;
         let eq = self.model.embed_query(query, distance);
         if let Some(r) = &self.routing {
@@ -500,10 +519,16 @@ impl<O: Clone + Send + Sync, E: FilterElem> DynamicIndex<O, E> {
         distance: &dyn DistanceMeasure<O>,
         k: usize,
         order: &[usize],
-    ) -> Vec<usize> {
-        let candidates: Vec<O> = order.iter().map(|&i| self.objects[i].clone()).collect();
-        let refined = knn(query, &candidates, distance, k);
-        refined.neighbors.into_iter().map(|i| order[i]).collect()
+    ) -> RetrievalOutcome {
+        let embedding_cost = self.model.embedding_cost();
+        refine_in_place(
+            query,
+            order,
+            |i| &self.objects[i],
+            distance,
+            k,
+            embedding_cost,
+        )
     }
 
     /// Batched filter-and-refine retrieval through the Q×N tiled pipeline:
@@ -561,6 +586,29 @@ impl<O: Clone + Send + Sync, E: FilterElem> DynamicIndex<O, E> {
     where
         O: PartialEq,
     {
+        let outcomes = self.try_retrieve_outcome_batch(queries, distance, k, p)?;
+        Ok(outcomes.into_iter().map(|o| o.neighbors).collect())
+    }
+
+    /// [`Self::try_retrieve_batch`] with each query's exact distances and
+    /// costs, as [`Self::try_retrieve_outcome`] reports them.
+    ///
+    /// # Errors
+    /// As [`Self::try_retrieve_batch`].
+    pub fn try_retrieve_outcome_batch(
+        &self,
+        queries: &[O],
+        distance: &dyn DistanceMeasure<O>,
+        k: usize,
+        p: usize,
+    ) -> Result<Vec<RetrievalOutcome>, QueryError>
+    where
+        O: PartialEq,
+    {
+        if let [query] = queries {
+            // A one-query batch has nothing to share a scan with.
+            return Ok(vec![self.try_retrieve_outcome(query, distance, k, p)?]);
+        }
         if queries.is_empty() {
             return Err(QueryError::EmptyBatch);
         }
@@ -573,7 +621,10 @@ impl<O: Clone + Send + Sync, E: FilterElem> DynamicIndex<O, E> {
             // `RoutedIndex` owns the grouped-by-cell batched kernel.
             return Ok(queries
                 .par_iter()
-                .map(|q| self.retrieve(q, distance, k, p))
+                .map(|q| {
+                    self.try_retrieve_outcome(q, distance, k, p)
+                        .unwrap_or_else(|e| panic!("{e}"))
+                })
                 .collect());
         }
         let batch = self.model.embed_queries(queries, distance);

@@ -706,6 +706,10 @@ impl<O: Clone + Send + Sync, E: FilterElem> FilterRefineIndex<O, E> {
     where
         O: PartialEq,
     {
+        if let [query] = queries {
+            // A one-query batch has nothing to share a scan with.
+            return Ok(vec![self.try_retrieve(query, database, distance, k, p)?]);
+        }
         if queries.is_empty() {
             return Err(QueryError::EmptyBatch);
         }

@@ -9,7 +9,7 @@
 //! top-k step uses `select_nth_unstable_by` (O(n) + O(k log k)) instead of a
 //! full sort, with NaN-safe `(distance, index)` ordering.
 
-use crate::filter_refine::top_p_by_score;
+use crate::filter_refine::{top_p_by_score, RetrievalOutcome};
 use qse_distance::{DistanceMeasure, FilterElem, FlatStore, FlatVectors, WeightedL1};
 use rayon::prelude::*;
 
@@ -31,16 +31,30 @@ pub fn knn<O, D>(query: &O, database: &[O], distance: &D, k: usize) -> KnnResult
 where
     D: DistanceMeasure<O> + ?Sized,
 {
+    knn_by(query, database.len(), |i| &database[i], distance, k)
+}
+
+/// [`knn`] over the `n` objects that `object(0..n)` borrows, wherever they
+/// live: the refine steps rank their filter candidates in place with it
+/// instead of cloning them into a contiguous database first. Positions
+/// `0..n` play the role of database indices, ties included.
+///
+/// # Panics
+/// As [`knn`].
+pub(crate) fn knn_by<'a, O: 'a, D>(
+    query: &O,
+    n: usize,
+    object: impl Fn(usize) -> &'a O,
+    distance: &D,
+    k: usize,
+) -> KnnResult
+where
+    D: DistanceMeasure<O> + ?Sized,
+{
     assert!(k >= 1, "k must be at least 1");
-    assert!(
-        k <= database.len(),
-        "k = {k} exceeds the database size {}",
-        database.len()
-    );
-    let mut scored: Vec<(usize, f64)> = database
-        .iter()
-        .enumerate()
-        .map(|(i, o)| (i, distance.distance(query, o)))
+    assert!(k <= n, "k = {k} exceeds the database size {n}");
+    let mut scored: Vec<(usize, f64)> = (0..n)
+        .map(|i| (i, distance.distance(query, object(i))))
         .collect();
     let by_distance_then_index =
         |a: &(usize, f64), b: &(usize, f64)| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0));
@@ -53,6 +67,28 @@ where
     KnnResult {
         neighbors: scored.iter().map(|(i, _)| *i).collect(),
         distances: scored.iter().map(|(_, d)| *d).collect(),
+    }
+}
+
+/// The refine step of the online indexes (dynamic and concurrent): exact
+/// k-NN over the filter candidates `order` (global ids in filter order),
+/// read in place through `object`, with ties broken by filter position.
+/// The outcome carries the refine step's own exact distances, so a caller
+/// never recomputes them.
+pub(crate) fn refine_in_place<'a, O: 'a>(
+    query: &O,
+    order: &[usize],
+    object: impl Fn(usize) -> &'a O,
+    distance: &dyn DistanceMeasure<O>,
+    k: usize,
+    embedding_cost: usize,
+) -> RetrievalOutcome {
+    let refined = knn_by(query, order.len(), |i| object(order[i]), distance, k);
+    RetrievalOutcome {
+        neighbors: refined.neighbors.into_iter().map(|i| order[i]).collect(),
+        distances: refined.distances,
+        embedding_cost,
+        refine_cost: order.len(),
     }
 }
 

@@ -564,6 +564,10 @@ impl<O: Clone + Send + Sync, E: FilterElem> RoutedIndex<O, E> {
         k: usize,
         p: usize,
     ) -> Result<Vec<RetrievalOutcome>, QueryError> {
+        if let [query] = queries {
+            // A one-query batch has nothing to share a scan with.
+            return Ok(vec![self.try_retrieve(query, database, distance, k, p)?]);
+        }
         if queries.is_empty() {
             return Err(QueryError::EmptyBatch);
         }

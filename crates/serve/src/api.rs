@@ -23,8 +23,8 @@ use std::sync::{Arc, Mutex};
 
 use qse_distance::{DistanceMeasure, FilterElem, MapRegion};
 use qse_retrieval::{
-    ConcurrentIndex, DynamicIndex, FilterRefineIndex, QueryError, ReadHandle, RoutedIndex,
-    SnapshotError, WriteHandle,
+    ConcurrentIndex, DynamicIndex, FilterRefineIndex, QueryError, ReadHandle, RetrievalOutcome,
+    RoutedIndex, SnapshotError, WriteHandle,
 };
 
 /// What the serving layer answers a query with: the `k` nearest neighbor
@@ -37,6 +37,21 @@ pub struct QueryResult {
     pub neighbors: Vec<usize>,
     /// The exact distance to each neighbor, parallel to `neighbors`.
     pub distances: Vec<f64>,
+}
+
+impl From<RetrievalOutcome> for QueryResult {
+    fn from(outcome: RetrievalOutcome) -> Self {
+        Self {
+            neighbors: outcome.neighbors,
+            distances: outcome.distances,
+        }
+    }
+}
+
+/// The served answers of a batch: each outcome's neighbors and the exact
+/// distances its refine step measured, never recomputed.
+fn results(outcomes: Vec<RetrievalOutcome>) -> Vec<QueryResult> {
+    outcomes.into_iter().map(QueryResult::from).collect()
 }
 
 /// What the serving layer answers a successful mutation with: the id the
@@ -170,13 +185,7 @@ impl<E: FilterElem> Engine for StaticEngine<E> {
         let outcomes = self
             .index
             .try_retrieve_batch(queries, &self.database, distance, k, p)?;
-        Ok(outcomes
-            .into_iter()
-            .map(|o| QueryResult {
-                neighbors: o.neighbors,
-                distances: o.distances,
-            })
-            .collect())
+        Ok(results(outcomes))
     }
 }
 
@@ -202,13 +211,7 @@ impl<E: FilterElem> Engine for RoutedEngine<E> {
         let outcomes = self
             .index
             .try_retrieve_batch(queries, &self.database, distance, k, p)?;
-        Ok(outcomes
-            .into_iter()
-            .map(|o| QueryResult {
-                neighbors: o.neighbors,
-                distances: o.distances,
-            })
-            .collect())
+        Ok(results(outcomes))
     }
 }
 
@@ -230,25 +233,10 @@ impl<E: FilterElem> Engine for DynamicEngine<E> {
         k: usize,
         p: usize,
     ) -> Result<Vec<QueryResult>, QueryError> {
-        let ids = self.index.try_retrieve_batch(queries, distance, k, p)?;
-        let objects = self.index.objects();
-        Ok(ids
-            .into_iter()
-            .zip(queries)
-            .map(|(neighbors, query)| {
-                // The dynamic index returns ids only; the response's exact
-                // distances are recomputed against the live objects — the
-                // same measure the refine step just ranked them by.
-                let distances = neighbors
-                    .iter()
-                    .map(|&id| distance.distance(query, &objects[id]))
-                    .collect();
-                QueryResult {
-                    neighbors,
-                    distances,
-                }
-            })
-            .collect())
+        let outcomes = self
+            .index
+            .try_retrieve_outcome_batch(queries, distance, k, p)?;
+        Ok(results(outcomes))
     }
 }
 
@@ -284,24 +272,13 @@ impl<E: FilterElem> Engine for ConcurrentEngine<E> {
         // One snapshot for the whole batch: ids, the re-validation of
         // k/p against the epoch's true length (admission validated
         // against a possibly newer one — a lost race is a typed error,
-        // never a panic), and the response's exact distances all come
+        // never a panic), and the refine step's exact distances all come
         // from the same pinned epoch.
-        let snapshot = self.reader.snapshot();
-        let ids = snapshot.try_retrieve_batch(queries, distance, k, p)?;
-        Ok(ids
-            .into_iter()
-            .zip(queries)
-            .map(|(neighbors, query)| {
-                let distances = neighbors
-                    .iter()
-                    .map(|&id| distance.distance(query, snapshot.object(id)))
-                    .collect();
-                QueryResult {
-                    neighbors,
-                    distances,
-                }
-            })
-            .collect())
+        let outcomes = self
+            .reader
+            .snapshot()
+            .try_retrieve_outcome_batch(queries, distance, k, p)?;
+        Ok(results(outcomes))
     }
     fn try_insert(
         &self,
@@ -683,6 +660,14 @@ impl QseApi {
         }
     }
 
+    /// The current publish epoch (`info().epoch`): `Some` for the
+    /// concurrent backend, `None` for the immutable ones. Epochs only
+    /// grow, so a query dispatched after reading epoch `e` is answered
+    /// from epoch `e` or later.
+    pub(crate) fn epoch(&self) -> Option<u64> {
+        self.engine.epoch()
+    }
+
     /// Number of served objects (`info().len`).
     pub fn len(&self) -> usize {
         self.engine.len()
@@ -774,7 +759,8 @@ impl QseApi {
     /// Answer a batch of queries through the wrapped index's batched
     /// pipeline — per-query results are bit-identical to [`Self::try_query`]
     /// (the pipelines pin this at any thread count), which is what lets
-    /// the admission batcher coalesce concurrent singles freely.
+    /// the admission batcher run its backlog as one batch. A one-query
+    /// batch takes the index's single-query path.
     ///
     /// # Errors
     /// As [`Self::validate`], plus [`QueryError::EmptyBatch`].

@@ -1,37 +1,43 @@
-//! The admission batcher: concurrently arriving single queries coalesced
-//! into micro-batches for the Q×N tiled batch kernel.
+//! The admission batcher: single queries from any number of threads,
+//! executed on a small worker pool with **work-conserving admission**.
 //!
-//! A single query scans the whole filter store for one output row; the
-//! tiled batch kernel amortizes that scan across a tile of query rows, so
-//! a served index wants concurrent singles to arrive *together*. The
-//! batcher buys that locality with a bounded wait: the first request to
-//! arrive opens a batch window, further arrivals join it, and the window
-//! closes after [`BatcherConfig::latency_budget`] or when
-//! [`BatcherConfig::max_batch`] requests have gathered — whichever comes
-//! first. A budget of zero degenerates to immediate per-arrival dispatch.
+//! No request ever waits for company. An idle worker takes everything
+//! queued — up to [`BatcherConfig::max_batch`] requests — the moment it
+//! sees it, so a lone request on an idle service goes straight to the
+//! pipeline. Batches form only from the backlog that builds up while every
+//! worker is busy, which is exactly when the batched pipelines (the Q×N
+//! tiled kernel, the grouped-by-cell routed scan) pay for themselves; a
+//! one-request batch runs the index's single-query path.
 //!
-//! At the moment a window closes the drained requests are grouped by
-//! `(k, p)` (the batched pipelines take one `k`/`p` per call) and, within
-//! each group, **deduplicated by exact query bits**: equal queries run
-//! once and share the result. This is the batch-global form of the
-//! per-tile duplicate memo inside `tiled_query_pipeline` — admission sees
-//! the whole batch, so duplicates landing in different tiles (which the
-//! per-tile memo cannot see) collapse here. Only bit-equal queries are
-//! merged, so the reuse is exact, not approximate.
+//! Two exact dedupes keep equal queries from running twice, both keyed on
+//! the query's exact `f64` bits plus `(k, p)`:
+//!
+//! * **Within a batch.** A drained batch is grouped by `(k, p)` (the
+//!   batched pipelines take one `k`/`p` per call) and equal queries in a
+//!   group run once and share the result — the batch-global form of the
+//!   per-tile duplicate memo inside `tiled_query_pipeline`.
+//! * **In flight.** A request whose key equals one a worker is already
+//!   executing joins that execution and shares its result, instead of
+//!   queueing behind it. The join is allowed only when the facade's epoch
+//!   (as in [`QseApi::info`]) at the joiner's admission equals the epoch
+//!   the worker read before dispatching; epochs only grow, so the
+//!   execution is answered from an epoch at or after the joiner's
+//!   arrival, and a read admitted after a mutation returned never gets a
+//!   pre-mutation answer. Immutable backends have no epoch and always
+//!   qualify.
 //!
 //! Per-query results are **bit-identical to a sequential
 //! [`QseApi::try_query`] per request**, whatever the arrival
 //! interleaving, worker count or duplicate scatter: the batched pipelines
-//! pin batch == sequential, and dedupe only ever reuses a result across
-//! equal inputs. The workspace `admission_batching` test asserts exactly
-//! this.
+//! pin batch == sequential, and both dedupes only ever reuse a result
+//! across bit-equal inputs. The workspace `admission_batching` test
+//! asserts exactly this, joiners included.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use qse_retrieval::QueryError;
 
@@ -66,24 +72,20 @@ impl From<QueryError> for RequestError {
     }
 }
 
-/// Knobs of the admission window.
+/// Knobs of the worker pool. There is no admission window: batches form
+/// only from the backlog.
 #[derive(Debug, Clone, Copy)]
 pub struct BatcherConfig {
-    /// How long the first request in a window waits for company — the
-    /// bounded latency cost paid for batch locality. Zero dispatches
-    /// every arrival immediately.
-    pub latency_budget: Duration,
-    /// Hard cap on requests per batch; a full window closes early.
+    /// Hard cap on requests one worker takes from the queue at once.
     pub max_batch: usize,
-    /// Worker threads draining windows. One worker executes one batch at
-    /// a time; more workers overlap execution with the next window.
+    /// Worker threads draining the queue. One worker executes one batch
+    /// at a time; more workers answer more lone requests at once.
     pub workers: usize,
 }
 
 impl Default for BatcherConfig {
     fn default() -> Self {
         Self {
-            latency_budget: Duration::from_micros(500),
             max_batch: 64,
             workers: 2,
         }
@@ -96,10 +98,13 @@ impl Default for BatcherConfig {
 pub struct BatcherStats {
     /// Batches executed.
     pub batches: u64,
-    /// Requests admitted into executed batches.
+    /// Requests answered by an execution: admitted into a batch, or
+    /// joined to one in flight.
     pub queries: u64,
-    /// Requests answered from another request's result by the
-    /// batch-global equal-query dedupe (never ran the pipeline).
+    /// Requests answered from another request's result — by the
+    /// within-batch dedupe or by joining an in-flight execution — that
+    /// never ran the pipeline themselves. Counted in `queries` too, so
+    /// `deduped <= queries`.
     pub deduped: u64,
 }
 
@@ -110,15 +115,31 @@ struct StatCells {
     deduped: AtomicU64,
 }
 
+/// What equal answers are recognised by: the query's exact `f64` bits
+/// and `(k, p)`. Bits are strictly narrower than the pipelines' `f64`
+/// equality (they tell -0.0 from 0.0 and never merge NaN payloads), so
+/// sharing a result between equal keys is always sound.
+type Key = (Vec<u64>, usize, usize);
+
+type Reply = mpsc::Sender<Result<QueryResult, RequestError>>;
+
 struct Pending {
     query: Vec<f64>,
-    k: usize,
-    p: usize,
-    tx: mpsc::Sender<Result<QueryResult, RequestError>>,
+    key: Key,
+    reply: Reply,
+}
+
+/// A key a worker is executing, open to joiners until it finishes.
+struct InFlight {
+    /// The facade epoch the worker read before dispatching.
+    epoch: Option<u64>,
+    /// Requests that joined after dispatch.
+    joiners: Vec<Reply>,
 }
 
 struct QueueState {
     queue: VecDeque<Pending>,
+    in_flight: HashMap<Key, InFlight>,
     shutdown: bool,
 }
 
@@ -131,8 +152,9 @@ struct Shared {
 }
 
 /// The admission batcher: submit single queries from any number of
-/// threads; they execute in coalesced micro-batches on the worker pool.
-/// Dropping the batcher drains the queue and joins the workers.
+/// threads; idle workers answer them at once, busy ones in batches drawn
+/// from the backlog. Dropping the batcher drains the queue and joins the
+/// workers.
 pub struct Batcher {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -144,12 +166,12 @@ impl Batcher {
         let config = BatcherConfig {
             max_batch: config.max_batch.max(1),
             workers: config.workers.max(1),
-            ..config
         };
         let shared = Arc::new(Shared {
             api,
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
+                in_flight: HashMap::new(),
                 shutdown: false,
             }),
             arrived: Condvar::new(),
@@ -170,7 +192,11 @@ impl Batcher {
         &self.shared.api
     }
 
-    /// Submit one query and block until its batch executes.
+    /// Admit one query without waiting for its answer: it joins an equal
+    /// query already executing at the current epoch, or else goes to the
+    /// back of the queue, before this returns. [`Ticket::wait`] blocks
+    /// for the answer, so one thread can have several requests in flight
+    /// in a known admission order.
     ///
     /// Validation runs synchronously at admission — a malformed request
     /// is rejected here, before it can occupy a batch slot, and the
@@ -178,23 +204,36 @@ impl Batcher {
     ///
     /// # Errors
     /// [`RequestError::Query`] for any [`QseApi::validate`] rejection,
-    /// [`RequestError::Internal`] if the executing worker panicked.
-    pub fn query(&self, query: Vec<f64>, k: usize, p: usize) -> Result<QueryResult, RequestError> {
+    /// [`RequestError::Internal`] once the batcher is shutting down.
+    pub fn submit(&self, query: Vec<f64>, k: usize, p: usize) -> Result<Ticket, RequestError> {
         self.shared.api.validate(&query, k, p)?;
-        let (tx, rx) = mpsc::channel();
-        {
-            let mut state = lock(&self.shared.state);
-            if state.shutdown {
-                return Err(RequestError::Internal("the batcher is shut down".into()));
-            }
-            state.queue.push_back(Pending { query, k, p, tx });
+        let key = (query.iter().map(|x| x.to_bits()).collect(), k, p);
+        let (reply, answer) = mpsc::channel();
+        let mut state = lock(&self.shared.state);
+        if state.shutdown {
+            return Err(RequestError::Internal("the batcher is shut down".into()));
         }
-        self.shared.arrived.notify_one();
-        rx.recv().unwrap_or_else(|_| {
-            Err(RequestError::Internal(
-                "the batch executor dropped the request".into(),
-            ))
-        })
+        match state.in_flight.get_mut(&key) {
+            Some(flight) if flight.epoch == self.shared.api.epoch() => {
+                flight.joiners.push(reply);
+                self.shared.stats.queries.fetch_add(1, Ordering::Relaxed);
+                self.shared.stats.deduped.fetch_add(1, Ordering::Relaxed);
+            }
+            _ => {
+                state.queue.push_back(Pending { query, key, reply });
+                self.shared.arrived.notify_one();
+            }
+        }
+        Ok(Ticket(answer))
+    }
+
+    /// Submit one query and block until it is answered:
+    /// [`Self::submit`], then [`Ticket::wait`].
+    ///
+    /// # Errors
+    /// As [`Self::submit`] and [`Ticket::wait`].
+    pub fn query(&self, query: Vec<f64>, k: usize, p: usize) -> Result<QueryResult, RequestError> {
+        self.submit(query, k, p)?.wait()
     }
 
     /// A snapshot of the batching counters.
@@ -204,6 +243,25 @@ impl Batcher {
             queries: self.shared.stats.queries.load(Ordering::Relaxed),
             deduped: self.shared.stats.deduped.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// An admitted request's answer, still to come (see [`Batcher::submit`]).
+pub struct Ticket(mpsc::Receiver<Result<QueryResult, RequestError>>);
+
+impl Ticket {
+    /// Block until the request is answered.
+    ///
+    /// # Errors
+    /// [`RequestError::Query`] for an index error of the execution
+    /// answering it, [`RequestError::Internal`] if that execution
+    /// panicked.
+    pub fn wait(self) -> Result<QueryResult, RequestError> {
+        self.0.recv().unwrap_or_else(|_| {
+            Err(RequestError::Internal(
+                "the batch executor dropped the request".into(),
+            ))
+        })
     }
 }
 
@@ -224,15 +282,24 @@ fn lock(m: &Mutex<QueueState>) -> std::sync::MutexGuard<'_, QueueState> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// One distinct key of a drained batch and everyone waiting on it.
+struct Slot {
+    key: Key,
+    query: Vec<f64>,
+    replies: Vec<Reply>,
+    /// Whether this slot opened the key's in-flight entry (and so closes
+    /// it). A key another worker already has in flight stays closed to
+    /// joiners here.
+    joinable: bool,
+}
+
 fn worker_loop(shared: &Shared) {
     loop {
-        let batch = {
+        let slots = {
             let mut state = lock(&shared.state);
-            // Sleep until something arrives (or shutdown drains us out).
-            loop {
-                if !state.queue.is_empty() {
-                    break;
-                }
+            // Sleep until something arrives (or shutdown drains us out),
+            // then take the whole backlog up to max_batch — no waiting.
+            while state.queue.is_empty() {
                 if state.shutdown {
                     return;
                 }
@@ -241,109 +308,120 @@ fn worker_loop(shared: &Shared) {
                     .wait(state)
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
             }
-            // A request is waiting: open the batch window and hold it
-            // open (releasing the lock while sleeping) until the latency
-            // budget runs out or the batch fills.
-            let deadline = Instant::now() + shared.config.latency_budget;
-            while state.queue.len() < shared.config.max_batch && !state.shutdown {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (next, timeout) = shared
-                    .arrived
-                    .wait_timeout(state, deadline - now)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                state = next;
-                if timeout.timed_out() {
-                    break;
-                }
-                if state.queue.is_empty() {
-                    // Another worker drained the window while we slept.
-                    break;
-                }
-            }
             let take = state.queue.len().min(shared.config.max_batch);
-            state.queue.drain(..take).collect::<Vec<_>>()
+            let batch: Vec<Pending> = state.queue.drain(..take).collect();
+            open_batch(shared, &mut state, batch)
         };
-        if batch.is_empty() {
-            continue;
-        }
-        execute_batch(shared, batch);
+        execute_batch(shared, slots);
     }
 }
 
-/// Run one drained admission window: group by `(k, p)`, dedupe equal
-/// queries within each group, execute each group through the batched
-/// pipeline once, fan results back out to every requester.
-fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
+/// Collapse a drained batch onto its distinct keys, in first-seen order,
+/// and open each key to joiners — under the lock that drained the batch,
+/// stamped with the epoch read before dispatch.
+fn open_batch(shared: &Shared, state: &mut QueueState, batch: Vec<Pending>) -> Vec<Slot> {
+    let admitted = batch.len();
     shared.stats.batches.fetch_add(1, Ordering::Relaxed);
     shared
         .stats
         .queries
-        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-
-    // Group request indexes by (k, p): the batched pipelines take one
-    // k/p per call. first-seen order within a group is preserved, so
-    // dedupe deterministically reuses the earliest occurrence.
-    let mut groups: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
-    for (i, pending) in batch.iter().enumerate() {
-        groups.entry((pending.k, pending.p)).or_default().push(i);
-    }
-
-    for ((k, p), members) in groups {
-        // Batch-global equal-query dedupe, keyed on exact f64 bits: a
-        // strictly narrower merge than the pipeline's `PartialEq` memo
-        // (bits distinguish -0.0 from 0.0 and never match NaN to NaN
-        // payload-insensitively), so reuse is always sound.
-        let mut unique: Vec<Vec<f64>> = Vec::new();
-        let mut slot_of: Vec<usize> = Vec::with_capacity(members.len());
-        let mut seen: HashMap<Vec<u64>, usize> = HashMap::new();
-        for &i in &members {
-            let bits: Vec<u64> = batch[i].query.iter().map(|x| x.to_bits()).collect();
-            let slot = *seen.entry(bits).or_insert_with(|| {
-                unique.push(batch[i].query.clone());
-                unique.len() - 1
-            });
-            slot_of.push(slot);
+        .fetch_add(admitted as u64, Ordering::Relaxed);
+    let epoch = shared.api.epoch();
+    let mut slots: Vec<Slot> = Vec::with_capacity(admitted);
+    let mut slot_of: HashMap<Key, usize> = HashMap::with_capacity(admitted);
+    for Pending { query, key, reply } in batch {
+        if let Some(&s) = slot_of.get(&key) {
+            slots[s].replies.push(reply);
+            continue;
         }
-        shared
-            .stats
-            .deduped
-            .fetch_add((members.len() - unique.len()) as u64, Ordering::Relaxed);
+        let joinable = !state.in_flight.contains_key(&key);
+        if joinable {
+            let flight = InFlight {
+                epoch,
+                joiners: Vec::new(),
+            };
+            state.in_flight.insert(key.clone(), flight);
+        }
+        slot_of.insert(key.clone(), slots.len());
+        slots.push(Slot {
+            key,
+            query,
+            replies: vec![reply],
+            joinable,
+        });
+    }
+    shared
+        .stats
+        .deduped
+        .fetch_add((admitted - slots.len()) as u64, Ordering::Relaxed);
+    slots
+}
 
-        // Admission already validated every request, so errors here are
-        // unexpected — but they still come back typed, and a panic in
-        // the pipeline is caught so the worker (and the service) lives.
-        let api = Arc::clone(&shared.api);
-        let outcome = catch_unwind(AssertUnwindSafe(|| api.try_query_batch(&unique, k, p)));
-        match outcome {
-            Ok(Ok(results)) => {
-                for (&i, &slot) in members.iter().zip(&slot_of) {
-                    let _ = batch[i].tx.send(Ok(results[slot].clone()));
-                }
+/// Run one drained batch: each `(k, p)` group of distinct queries goes
+/// through the batched pipeline once (groups in first-seen order), and
+/// every requester and joiner of each key gets its answer.
+fn execute_batch(shared: &Shared, mut slots: Vec<Slot>) {
+    while let Some(first) = slots.first() {
+        let (k, p) = (first.key.1, first.key.2);
+        let (mut group, rest): (Vec<Slot>, Vec<Slot>) = slots
+            .into_iter()
+            .partition(|slot| slot.key.1 == k && slot.key.2 == p);
+        slots = rest;
+        let queries: Vec<Vec<f64>> = group
+            .iter_mut()
+            .map(|slot| std::mem::take(&mut slot.query))
+            .collect();
+        // Admission already validated every request, so errors here come
+        // only from a lost race with a mutation — but they still come
+        // back typed, and a panic in the pipeline is caught so the
+        // worker (and the service) lives.
+        let outcome = match catch_unwind(AssertUnwindSafe(|| {
+            shared.api.try_query_batch(&queries, k, p)
+        })) {
+            Ok(result) => result.map_err(RequestError::Query),
+            Err(payload) => Err(panic_message(payload.as_ref())),
+        };
+        answer_group(shared, group, &outcome);
+    }
+}
+
+/// Close the group's in-flight entries, then send every requester and
+/// joiner of each slot its answer (or the group's error). Joiners are
+/// detached under the queue lock, so none can join after the answers go
+/// out.
+fn answer_group(
+    shared: &Shared,
+    mut group: Vec<Slot>,
+    outcome: &Result<Vec<QueryResult>, RequestError>,
+) {
+    {
+        let mut state = lock(&shared.state);
+        for slot in group.iter_mut().filter(|slot| slot.joinable) {
+            if let Some(flight) = state.in_flight.remove(&slot.key) {
+                slot.replies.extend(flight.joiners);
             }
-            Ok(Err(e)) => {
-                for &i in &members {
-                    let _ = batch[i].tx.send(Err(RequestError::Query(e)));
-                }
-            }
-            Err(payload) => {
-                let msg = panic_message(payload.as_ref());
-                for &i in &members {
-                    let _ = batch[i].tx.send(Err(RequestError::Internal(msg.clone())));
-                }
-            }
+        }
+    }
+    for (s, slot) in group.iter().enumerate() {
+        let answer = match outcome {
+            Ok(results) => results.get(s).cloned().ok_or_else(|| {
+                RequestError::Internal("the pipeline returned too few results".into())
+            }),
+            Err(e) => Err(e.clone()),
+        };
+        for reply in &slot.replies {
+            let _ = reply.send(answer.clone());
         }
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> RequestError {
+    let msg = if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "unknown panic payload".to_string()
-    }
+    };
+    RequestError::Internal(msg)
 }

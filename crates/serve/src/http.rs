@@ -4,8 +4,8 @@
 //! `crates/compat` shims — the server is hand-rolled on
 //! [`std::net::TcpListener`]: an accept loop hands each connection to its
 //! own thread, and every request a connection thread decodes is submitted
-//! to the shared [`Batcher`], where concurrently arriving singles
-//! coalesce into micro-batches for the tiled kernel.
+//! to the shared [`Batcher`]: an idle worker answers it at once, and
+//! requests that queue behind busy workers are answered in batches.
 //!
 //! Routes:
 //!
@@ -51,8 +51,9 @@ pub struct ServeConfig {
     /// Bind address; port `0` picks an ephemeral port (the bound address
     /// is available from [`QseServer::addr`]).
     pub addr: String,
-    /// Admission-batching knobs, [`BatcherConfig::latency_budget`] being
-    /// the one that trades per-request latency for batch locality.
+    /// Worker pool of the admission batcher. Admission never waits for
+    /// a batch to fill: there is no latency knob to trade, and batches
+    /// form only from requests that queue while every worker is busy.
     pub batcher: BatcherConfig,
     /// Per-connection socket read timeout; a stalled or abandoned
     /// connection frees its thread after this long.

@@ -12,12 +12,13 @@
 //!   Over a concurrent index the facade is also the mutation path
 //!   ([`QseApi::try_insert`] / [`QseApi::try_remove`]), with reads
 //!   draining against pinned epoch snapshots throughout.
-//! * [`batcher`] — the admission batcher: concurrently arriving single
-//!   queries coalesce into micro-batches under a configurable latency
-//!   budget, so the Q×N tiled filter kernel runs at its sweet spot;
-//!   equal queries within a batch are deduplicated at admission and
-//!   share one result. Per-query answers are bit-identical to
-//!   sequential retrieval, whatever the arrival interleaving.
+//! * [`batcher`] — the admission batcher, work-conserving: an idle
+//!   worker answers a lone query at once, and only the backlog that
+//!   queues behind busy workers is batched through the tiled pipelines.
+//!   Equal queries share one execution, within a batch and by joining an
+//!   equal query already in flight at the same epoch. Per-query answers
+//!   are bit-identical to sequential retrieval, whatever the arrival
+//!   interleaving.
 //! * [`http`] — a std-only HTTP/1.1 server on [`std::net::TcpListener`]
 //!   (the build environment has no crates-registry access, matching the
 //!   `crates/compat` philosophy): a thread-per-connection accept loop
@@ -36,5 +37,5 @@ pub mod wire;
 pub use api::{
     IndexInfo, LoadOptions, MutationReport, QseApi, QueryResult, ServeError, SnapshotSource,
 };
-pub use batcher::{Batcher, BatcherConfig, BatcherStats, RequestError};
+pub use batcher::{Batcher, BatcherConfig, BatcherStats, RequestError, Ticket};
 pub use http::{QseServer, ServeConfig};

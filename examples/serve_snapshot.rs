@@ -1,9 +1,9 @@
 //! The serving cold-start path end to end: load a routed `u8` snapshot
 //! into the [`QseApi`] facade, start the HTTP/1.1 front end with
-//! admission batching, then drive it with concurrent in-process clients —
-//! well-formed queries checked bit-identical against direct retrieval
-//! *and* a malformed-request fuzz loop (bad `k`/`p`, wrong
-//! dimensionality, broken JSON, raw garbage) that must come back as
+//! work-conserving admission batching, then drive it with concurrent
+//! in-process clients — well-formed queries checked bit-identical against
+//! direct retrieval *and* a malformed-request fuzz loop (bad `k`/`p`,
+//! wrong dimensionality, broken JSON, raw garbage) that must come back as
 //! typed errors with the process still serving. This is the CI
 //! integration leg:
 //!
@@ -279,18 +279,9 @@ fn main() {
         .try_query_batch(&queries, K, P)
         .expect("ground-truth batch");
 
-    let mut server = QseServer::start(
-        api,
-        ServeConfig {
-            batcher: BatcherConfig {
-                latency_budget: Duration::from_micros(500),
-                max_batch: 64,
-                workers: 2,
-            },
-            ..ServeConfig::default()
-        },
-    )
-    .expect("server start");
+    // Default admission: an idle worker answers at once, batches form
+    // only from the backlog the concurrent clients build up.
+    let mut server = QseServer::start(api, ServeConfig::default()).expect("server start");
     let addr = server.addr();
     println!("serving on {addr} ({CLIENTS} clients × {REQUESTS_PER_CLIENT} requests)");
 

@@ -25,8 +25,9 @@
 //!   the paper.
 //! * [`serve`] (`qse-serve`) — the query service front end: a
 //!   transport-neutral API facade over any index (loadable from a
-//!   snapshot), an admission batcher that coalesces concurrent single
-//!   queries into micro-batches, and a std-only HTTP/1.1 server.
+//!   snapshot), a work-conserving admission batcher that answers a lone
+//!   query at once and batches only the backlog, and a std-only
+//!   HTTP/1.1 server.
 //!
 //! ## Quickstart
 //!
@@ -92,6 +93,6 @@ pub mod prelude {
     };
     pub use qse_serve::{
         Batcher, BatcherConfig, BatcherStats, IndexInfo, LoadOptions, MutationReport, QseApi,
-        QseServer, QueryResult, RequestError, ServeConfig, ServeError, SnapshotSource,
+        QseServer, QueryResult, RequestError, ServeConfig, ServeError, SnapshotSource, Ticket,
     };
 }

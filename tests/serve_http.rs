@@ -63,7 +63,6 @@ fn snapshot_loaded_server() -> (QseServer, Vec<Vec<f64>>) {
         api,
         ServeConfig {
             batcher: BatcherConfig {
-                latency_budget: Duration::from_millis(1),
                 max_batch: 16,
                 workers: 2,
             },
@@ -346,7 +345,6 @@ fn concurrent_server() -> (QseServer, Vec<Vec<f64>>) {
         api,
         ServeConfig {
             batcher: BatcherConfig {
-                latency_budget: Duration::from_millis(1),
                 max_batch: 16,
                 workers: 2,
             },
