@@ -33,6 +33,14 @@ fn bench_dtw(c: &mut Criterion) {
     c.bench_function("constrained_dtw_96pts_band10pct", |bench| {
         bench.iter(|| black_box(dtw.distance(black_box(&a), black_box(&b))))
     });
+    // A refine candidate that the k-th best already beats: the cutoff is
+    // half the pair's distance, so the dynamic program stops part-way.
+    let cutoff = 0.5 * dtw.distance(&a, &b);
+    c.bench_function("constrained_dtw_96pts_band10pct_within", |bench| {
+        bench.iter(|| {
+            black_box(dtw.distance_within(black_box(&a), black_box(&b), black_box(cutoff)))
+        })
+    });
     let full = ConstrainedDtw::unconstrained();
     c.bench_function("unconstrained_dtw_96pts", |bench| {
         bench.iter(|| black_box(full.distance(black_box(&a), black_box(&b))))

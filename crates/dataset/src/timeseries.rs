@@ -347,7 +347,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let s = g.variation(1, &mut rng);
         for d in 0..s.dim() {
-            let mean: f64 = s.samples().iter().map(|v| v[d]).sum::<f64>() / s.len() as f64;
+            let mean: f64 = s.samples().map(|v| v[d]).sum::<f64>() / s.len() as f64;
             assert!(mean.abs() < 1e-9, "dimension {d} mean {mean}");
         }
     }

@@ -12,7 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A decorator that counts how many times the wrapped distance measure has
-/// been evaluated.
+/// been evaluated. A [`DistanceMeasure::distance_within`] call counts as
+/// one evaluation even when the measure abandons it early.
 ///
 /// Cloning a `CountingDistance` shares the same counter (both the measure and
 /// the counter are behind `Arc`s), which lets the evaluation harness hand
@@ -69,6 +70,10 @@ impl<O: ?Sized, D: DistanceMeasure<O>> DistanceMeasure<O> for CountingDistance<O
     fn distance(&self, a: &O, b: &O) -> f64 {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.inner.distance(a, b)
+    }
+    fn distance_within(&self, a: &O, b: &O, cutoff: f64) -> f64 {
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.inner.distance_within(a, b, cutoff)
     }
     fn properties(&self) -> MetricProperties {
         self.inner.properties()

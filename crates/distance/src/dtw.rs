@@ -10,18 +10,20 @@
 //! embedding-based approach is needed.
 //!
 //! The implementation here supports multi-dimensional sequences of unequal
-//! length, an absolute or relative band width, and both squared-Euclidean and
-//! Euclidean local costs. Memory use is `O(min(n, m) · band)` thanks to a
-//! two-row rolling dynamic program.
+//! length, an absolute or relative band width, and Euclidean,
+//! squared-Euclidean and Manhattan local costs. Samples are stored in one
+//! contiguous row-major buffer. [`ConstrainedDtw::eval`] runs a rolling
+//! dynamic program over one row of accumulated costs, as long as the longer
+//! series plus one, and a cost buffer as wide as the band: memory is
+//! `O(max(n, m))`, time `O(min(n, m) · band)`.
 
 use crate::traits::{DistanceMeasure, MetricProperties};
 
-/// A multi-dimensional time series: `values[t]` is the sample at time `t`,
-/// a point in `R^dim`.
+/// A multi-dimensional time series: sample `t` is a point in `R^dim`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
-    /// Per-timestep samples; every inner vector has length [`TimeSeries::dim`].
-    values: Vec<Vec<f64>>,
+    /// Row-major samples: sample `t` is `values[t * dim..(t + 1) * dim]`.
+    values: Vec<f64>,
     dim: usize,
 }
 
@@ -29,8 +31,8 @@ impl TimeSeries {
     /// Build a series from per-timestep samples.
     ///
     /// # Panics
-    /// Panics if the series is empty or the samples have inconsistent
-    /// dimensionality.
+    /// Panics if the series is empty, the samples have inconsistent
+    /// dimensionality, or a sample is not finite.
     pub fn new(values: Vec<Vec<f64>>) -> Self {
         assert!(
             !values.is_empty(),
@@ -42,18 +44,35 @@ impl TimeSeries {
             values.iter().all(|v| v.len() == dim),
             "all samples of a time series must share the same dimensionality"
         );
-        Self { values, dim }
+        Self::from_flat(values.concat(), dim)
     }
 
     /// Build a one-dimensional series from scalar samples.
+    ///
+    /// # Panics
+    /// As [`TimeSeries::new`].
     pub fn univariate(samples: impl IntoIterator<Item = f64>) -> Self {
-        let values: Vec<Vec<f64>> = samples.into_iter().map(|s| vec![s]).collect();
-        Self::new(values)
+        Self::from_flat(samples.into_iter().collect(), 1)
+    }
+
+    /// A series over the row-major `values` of `dim`-dimensional samples.
+    /// Finite samples keep every DTW cell a non-negative number, which
+    /// [`ConstrainedDtw::eval`] relies on.
+    fn from_flat(values: Vec<f64>, dim: usize) -> Self {
+        assert!(
+            !values.is_empty(),
+            "a time series must have at least one sample"
+        );
+        assert!(
+            values.iter().all(|x| x.is_finite()),
+            "time series samples must be finite"
+        );
+        Self { values, dim }
     }
 
     /// Number of time steps.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.values.len() / self.dim
     }
 
     /// `true` if the series has no samples (never constructible via `new`).
@@ -68,20 +87,20 @@ impl TimeSeries {
 
     /// The sample at time `t`.
     pub fn sample(&self, t: usize) -> &[f64] {
-        &self.values[t]
+        &self.values[t * self.dim..(t + 1) * self.dim]
     }
 
-    /// All samples.
-    pub fn samples(&self) -> &[Vec<f64>] {
-        &self.values
+    /// All samples, in time order.
+    pub fn samples(&self) -> std::slice::ChunksExact<'_, f64> {
+        self.values.chunks_exact(self.dim)
     }
 
     /// Subtract the per-dimension mean, as the paper does: *"The series were
     /// normalized by subtracting the average value in each dimension."*
     pub fn mean_normalized(&self) -> Self {
-        let n = self.values.len() as f64;
+        let n = self.len() as f64;
         let mut mean = vec![0.0; self.dim];
-        for v in &self.values {
+        for v in self.samples() {
             for (m, x) in mean.iter_mut().zip(v) {
                 *m += x;
             }
@@ -90,14 +109,10 @@ impl TimeSeries {
             *m /= n;
         }
         let values = self
-            .values
-            .iter()
-            .map(|v| v.iter().zip(&mean).map(|(x, m)| x - m).collect())
+            .samples()
+            .flat_map(|v| v.iter().zip(&mean).map(|(x, m)| x - m))
             .collect();
-        Self {
-            values,
-            dim: self.dim,
-        }
+        Self::from_flat(values, self.dim)
     }
 }
 
@@ -163,6 +178,92 @@ impl LocalCost {
     }
 }
 
+/// [`banded_dtw`] over row-major samples of a dimension `D` fixed at
+/// compile time, so each local cost unrolls into straight-line code.
+/// [`ConstrainedDtw::eval_within`] uses it for two-dimensional samples, the
+/// time-series generator's default, where it is about a third faster than
+/// the runtime-dimension path; every other dimension takes that path.
+fn banded_dtw_dim<const D: usize>(
+    cost: LocalCost,
+    rows: &[f64],
+    cols: &[f64],
+    band: usize,
+    cutoff: f64,
+) -> f64 {
+    let (rows, _) = rows.as_chunks::<D>();
+    let (cols, _) = cols.as_chunks::<D>();
+    banded_dtw(rows.len(), cols.len(), band, cutoff, |t, lo, out| {
+        for (o, b) in out.iter_mut().zip(&cols[lo..]) {
+            *o = cost.eval(&rows[t], b);
+        }
+    })
+}
+
+/// The cDTW recurrence `D(i, j) = cost(i, j) + min(D(i-1, j), D(i, j-1),
+/// D(i-1, j-1))` over an `n × m` grid (`n ≤ m`) restricted to the band
+/// `|i - j| ≤ band` (`band ≥ m - n` keeps the corner reachable), stopping
+/// early as [`ConstrainedDtw::eval_within`] describes. `row_costs(t, lo,
+/// out)` writes the local costs of row sample `t` against column samples
+/// `lo, lo + 1, ...` into `out`.
+///
+/// Each row first computes its costs, off the dependency chain. The cell
+/// loop then evaluates `min(c + min(up, diag), c + left)`, so only one add
+/// and one min follow the previous cell. This equals `c + min(up, diag,
+/// left)` bit for bit: rounding is monotone, so adding `c` commutes with
+/// `min`, and every cell is a number `≥ +0` or `+∞`.
+#[inline(always)]
+fn banded_dtw(
+    n: usize,
+    m: usize,
+    band: usize,
+    cutoff: f64,
+    mut row_costs: impl FnMut(usize, usize, &mut [f64]),
+) -> f64 {
+    // `acc[j]` holds `D(i, j)` of the latest row whose band covered column
+    // `j`. Bands only move right, so the columns right of the previous
+    // band still hold their initial `+∞`, and the columns left of the
+    // current band are never read again.
+    let mut acc = vec![f64::INFINITY; m + 1];
+    acc[0] = 0.0;
+    let mut costs = vec![0.0; m.min(2 * band + 1)];
+    for i in 1..=n {
+        let lo = i.saturating_sub(band).max(1);
+        let hi = (i + band).min(m);
+        let costs = &mut costs[..=hi - lo];
+        row_costs(i - 1, lo - 1, costs);
+        let mut diag = acc[lo - 1];
+        // `D(i, lo - 1)` lies left of the band, or below the origin.
+        let mut left = f64::INFINITY;
+        let mut row_min = f64::INFINITY;
+        for (cell, &c) in acc[lo..=hi].iter_mut().zip(costs.iter()) {
+            let up = *cell;
+            let d = min(c + min(up, diag), c + left);
+            diag = up;
+            *cell = d;
+            left = d;
+            row_min = min(row_min, d);
+        }
+        // Column 0 holds only the origin `D(0, 0) = 0`; below row 0 it is
+        // the `+∞` sentinel.
+        acc[0] = f64::INFINITY;
+        if row_min > cutoff {
+            return row_min;
+        }
+    }
+    acc[m]
+}
+
+/// `a.min(b)` as a plain compare-select: DTW cells are never NaN, so the
+/// NaN handling of [`f64::min`] is not needed.
+#[inline(always)]
+fn min(a: f64, b: f64) -> f64 {
+    if b < a {
+        b
+    } else {
+        a
+    }
+}
+
 /// Constrained Dynamic Time Warping distance.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConstrainedDtw {
@@ -219,6 +320,19 @@ impl ConstrainedDtw {
     /// # Panics
     /// Panics if the series have different dimensionality.
     pub fn eval(&self, a: &TimeSeries, b: &TimeSeries) -> f64 {
+        self.eval_within(a, b, f64::INFINITY)
+    }
+
+    /// [`Self::eval`] that gives up once the distance must exceed `cutoff`:
+    /// the exact distance when it is at most `cutoff`, otherwise a lower
+    /// bound of it that is greater than `cutoff`. Every warping path
+    /// crosses every row of the dynamic program and accumulated costs never
+    /// decrease along a path, so the program stops at the first row whose
+    /// every cell exceeds `cutoff` and returns that row's minimum.
+    ///
+    /// # Panics
+    /// As [`Self::eval`].
+    fn eval_within(&self, a: &TimeSeries, b: &TimeSeries, cutoff: f64) -> f64 {
         assert_eq!(
             a.dim(),
             b.dim(),
@@ -229,31 +343,18 @@ impl ConstrainedDtw {
         // Ensure `rows` is the shorter series: DTW is symmetric in the two
         // series, so swapping is safe and keeps the band semantics.
         let (rows, cols) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        let n = rows.len();
-        let m = cols.len();
-        let band = self.band.resolve(n, m);
-
-        let inf = f64::INFINITY;
-        let mut prev = vec![inf; m + 1];
-        let mut curr = vec![inf; m + 1];
-        prev[0] = 0.0;
-
-        for i in 1..=n {
-            curr.iter_mut().for_each(|c| *c = inf);
-            // Sakoe–Chiba band around the (scaled) diagonal. Using the plain
-            // |i - j| <= band formulation; `resolve` guarantees the corner is
-            // reachable because band >= m - n.
-            let lo = i.saturating_sub(band).max(1);
-            let hi = (i + band).min(m);
-            let ri = rows.sample(i - 1);
-            for j in lo..=hi {
-                let cost = self.local_cost.eval(ri, cols.sample(j - 1));
-                let best_prev = prev[j].min(curr[j - 1]).min(prev[j - 1]);
-                curr[j] = cost + best_prev;
-            }
-            std::mem::swap(&mut prev, &mut curr);
+        let band = self.band.resolve(rows.len(), cols.len());
+        let cost = self.local_cost;
+        let (r, c) = (rows.values.as_slice(), cols.values.as_slice());
+        match rows.dim {
+            2 => banded_dtw_dim::<2>(cost, r, c, band, cutoff),
+            dim => banded_dtw(rows.len(), cols.len(), band, cutoff, |t, lo, out| {
+                let a = rows.sample(t);
+                for (o, b) in out.iter_mut().zip(c[lo * dim..].chunks_exact(dim)) {
+                    *o = cost.eval(a, b);
+                }
+            }),
         }
-        prev[m]
     }
 
     /// Compute the full warping path (sequence of aligned index pairs) in
@@ -315,6 +416,9 @@ impl DistanceMeasure<TimeSeries> for ConstrainedDtw {
     fn distance(&self, a: &TimeSeries, b: &TimeSeries) -> f64 {
         self.eval(a, b)
     }
+    fn distance_within(&self, a: &TimeSeries, b: &TimeSeries, cutoff: f64) -> f64 {
+        self.eval_within(a, b, cutoff)
+    }
     fn properties(&self) -> MetricProperties {
         MetricProperties::SymmetricNonMetric
     }
@@ -354,7 +458,6 @@ mod tests {
         let b = series(&[0.0, 0.0, 0.0, 1.0, 5.0, 1.0, 0.0, 0.0]);
         let lockstep: f64 = a
             .samples()
-            .iter()
             .zip(b.samples())
             .map(|(x, y)| (x[0] - y[0]).abs())
             .sum();
@@ -373,7 +476,6 @@ mod tests {
         let banded = ConstrainedDtw::with_absolute_band(0).eval(&a, &b);
         let lockstep: f64 = a
             .samples()
-            .iter()
             .zip(b.samples())
             .map(|(x, y)| (x[0] - y[0]).abs())
             .sum();
@@ -451,8 +553,8 @@ mod tests {
     fn mean_normalization_centers_each_dimension() {
         let s = TimeSeries::new(vec![vec![1.0, 10.0], vec![3.0, 30.0]]);
         let n = s.mean_normalized();
-        let sum0: f64 = n.samples().iter().map(|v| v[0]).sum();
-        let sum1: f64 = n.samples().iter().map(|v| v[1]).sum();
+        let sum0: f64 = n.samples().map(|v| v[0]).sum();
+        let sum1: f64 = n.samples().map(|v| v[1]).sum();
         assert!(sum0.abs() < 1e-12);
         assert!(sum1.abs() < 1e-12);
     }

@@ -18,6 +18,7 @@
 //! lengths we fall back to the (weaker but always valid) trivial bound 0.
 
 use crate::dtw::{BandWidth, TimeSeries};
+use crate::traits::DistanceMeasure;
 
 /// The upper/lower envelope of a series under a Sakoe–Chiba band.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,7 +125,8 @@ pub fn lb_keogh_nearest_neighbor(
                 break;
             }
         }
-        let d = dtw.eval(query, &database[i]);
+        // A candidate worse than the best so far is abandoned part-way.
+        let d = dtw.distance_within(query, &database[i], best_dist);
         exact_evaluations += 1;
         if d < best_dist {
             best_dist = d;

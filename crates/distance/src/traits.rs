@@ -55,6 +55,16 @@ pub trait DistanceMeasure<O: ?Sized>: Send + Sync {
     /// first argument plays the role of the query.
     fn distance(&self, a: &O, b: &O) -> f64;
 
+    /// [`Self::distance`] for a caller that only needs distances up to
+    /// `cutoff`: the exact distance when it is at most `cutoff`, otherwise
+    /// any value greater than `cutoff`. A measure that can tell early that
+    /// it will exceed `cutoff` may stop there; the default computes the
+    /// exact distance.
+    fn distance_within(&self, a: &O, b: &O, cutoff: f64) -> f64 {
+        let _ = cutoff;
+        self.distance(a, b)
+    }
+
     /// The mathematical properties this measure guarantees.
     fn properties(&self) -> MetricProperties {
         MetricProperties::SymmetricNonMetric
@@ -70,6 +80,9 @@ impl<O: ?Sized, D: DistanceMeasure<O> + ?Sized> DistanceMeasure<O> for &D {
     fn distance(&self, a: &O, b: &O) -> f64 {
         (**self).distance(a, b)
     }
+    fn distance_within(&self, a: &O, b: &O, cutoff: f64) -> f64 {
+        (**self).distance_within(a, b, cutoff)
+    }
     fn properties(&self) -> MetricProperties {
         (**self).properties()
     }
@@ -82,6 +95,9 @@ impl<O: ?Sized, D: DistanceMeasure<O> + ?Sized> DistanceMeasure<O> for Arc<D> {
     fn distance(&self, a: &O, b: &O) -> f64 {
         (**self).distance(a, b)
     }
+    fn distance_within(&self, a: &O, b: &O, cutoff: f64) -> f64 {
+        (**self).distance_within(a, b, cutoff)
+    }
     fn properties(&self) -> MetricProperties {
         (**self).properties()
     }
@@ -93,6 +109,9 @@ impl<O: ?Sized, D: DistanceMeasure<O> + ?Sized> DistanceMeasure<O> for Arc<D> {
 impl<O: ?Sized, D: DistanceMeasure<O> + ?Sized> DistanceMeasure<O> for Box<D> {
     fn distance(&self, a: &O, b: &O) -> f64 {
         (**self).distance(a, b)
+    }
+    fn distance_within(&self, a: &O, b: &O, cutoff: f64) -> f64 {
+        (**self).distance_within(a, b, cutoff)
     }
     fn properties(&self) -> MetricProperties {
         (**self).properties()

@@ -86,6 +86,7 @@
 //! [`FilterRefineIndex::with_p_scale`]).
 
 use crate::error::{check_query_params, QueryError};
+use crate::knn::refine_candidates;
 use qse_core::QseModel;
 use qse_distance::{DistanceMeasure, WeightedL1};
 use qse_embedding::Embedding;
@@ -204,36 +205,6 @@ where
 /// `p_scale = 1.0`, `⌈p · 1.0⌉ = p` exactly, so behaviour is untouched.
 pub(crate) fn effective_p(p: usize, p_scale: f64, n: usize) -> usize {
     (((p as f64) * p_scale).ceil() as usize).min(n)
-}
-
-/// The refine step shared by every retrieval pipeline in this crate (the
-/// static index's sequential and batched paths and the routed index):
-/// measure the exact distance from `query` to every filter candidate,
-/// keep the best `k` under the strict total order `(distance, index)`.
-/// One routine everywhere is what makes the pipelines *provably*
-/// identical: a candidate **set** determines the outcome regardless of
-/// the order candidates arrive in.
-pub(crate) fn refine_candidates<O>(
-    query: &O,
-    database: &[O],
-    distance: &dyn DistanceMeasure<O>,
-    k: usize,
-    candidates: &[usize],
-    embedding_cost: usize,
-) -> RetrievalOutcome {
-    let refine_cost = candidates.len();
-    let mut refined: Vec<(usize, f64)> = candidates
-        .iter()
-        .map(|&i| (i, distance.distance(query, &database[i])))
-        .collect();
-    refined.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    refined.truncate(k);
-    RetrievalOutcome {
-        neighbors: refined.iter().map(|(i, _)| *i).collect(),
-        distances: refined.iter().map(|(_, d)| *d).collect(),
-        embedding_cost,
-        refine_cost,
-    }
 }
 
 /// [`top_p_by_score`] writing into a caller-owned index buffer, so the
@@ -604,7 +575,14 @@ impl<O: Clone + Send + Sync, E: FilterElem> FilterRefineIndex<O, E> {
     ) -> Result<RetrievalOutcome, QueryError> {
         self.validate(database, k, p)?;
         let (candidates, embedding_cost) = self.filter_top_p(query, distance, self.effective_p(p));
-        Ok(self.refine(query, database, distance, k, &candidates, embedding_cost))
+        Ok(refine_candidates(
+            query,
+            database,
+            distance,
+            k,
+            &candidates,
+            embedding_cost,
+        ))
     }
 
     /// The shared request validation of the retrieve paths: `k`/`p`
@@ -619,24 +597,6 @@ impl<O: Clone + Send + Sync, E: FilterElem> FilterRefineIndex<O, E> {
             });
         }
         Ok(())
-    }
-
-    /// The refine step shared by [`Self::retrieve`] and
-    /// [`Self::retrieve_batch`]: measure the exact distance from `query` to
-    /// every filter candidate, keep the best `k` under the strict total
-    /// order `(distance, index)`. Using one routine on both paths is what
-    /// makes the batched pipeline *provably* identical to the sequential
-    /// one.
-    fn refine(
-        &self,
-        query: &O,
-        database: &[O],
-        distance: &dyn DistanceMeasure<O>,
-        k: usize,
-        candidates: &[usize],
-        embedding_cost: usize,
-    ) -> RetrievalOutcome {
-        refine_candidates(query, database, distance, k, candidates, embedding_cost)
     }
 
     /// Retrieve a whole batch of queries through the tiled batch pipeline:
@@ -743,7 +703,9 @@ impl<O: Clone + Send + Sync, E: FilterElem> FilterRefineIndex<O, E> {
                     batch.score_filter_batch_range(q0, q1, &self.vectors, scores);
                 }
             },
-            |q, _row, order| self.refine(&queries[q], database, distance, k, order, embedding_cost),
+            |q, _row, order| {
+                refine_candidates(&queries[q], database, distance, k, order, embedding_cost)
+            },
         ))
     }
 }

@@ -5,9 +5,14 @@
 //! brute force: *"brute force search would require 60000 exact distance
 //! computations in the MNIST dataset and 31818 ... in the time series
 //! dataset"* (Table 1 caption). This module provides that ground truth,
-//! computed in parallel across queries on the rayon substrate. The per-query
-//! top-k step uses `select_nth_unstable_by` (O(n) + O(k log k)) instead of a
-//! full sort, with NaN-safe `(distance, index)` ordering.
+//! computed in parallel across queries on the rayon substrate.
+//!
+//! The bounded top-k routine here, `top_k`, is also the refine step of
+//! every retrieval index: it keeps the best `k` under a NaN-safe
+//! `(distance, key)` order and hands each later candidate the current k-th
+//! best distance as a [`DistanceMeasure::distance_within`] cutoff, so a
+//! measure that can abandon early (constrained DTW) stops on candidates
+//! that cannot enter. Every candidate still costs exactly one call.
 
 use crate::filter_refine::{top_p_by_score, RetrievalOutcome};
 use qse_distance::{DistanceMeasure, FilterElem, FlatStore, FlatVectors, WeightedL1};
@@ -31,50 +36,74 @@ pub fn knn<O, D>(query: &O, database: &[O], distance: &D, k: usize) -> KnnResult
 where
     D: DistanceMeasure<O> + ?Sized,
 {
-    knn_by(query, database.len(), |i| &database[i], distance, k)
+    assert!(k >= 1, "k must be at least 1");
+    assert!(
+        k <= database.len(),
+        "k = {k} exceeds the database size {}",
+        database.len()
+    );
+    top_k(query, database.iter().enumerate(), distance, k)
 }
 
-/// [`knn`] over the `n` objects that `object(0..n)` borrows, wherever they
-/// live: the refine steps rank their filter candidates in place with it
-/// instead of cloning them into a contiguous database first. Positions
-/// `0..n` play the role of database indices, ties included.
-///
-/// # Panics
-/// As [`knn`].
-pub(crate) fn knn_by<'a, O: 'a, D>(
+/// The `k` nearest of `candidates`, `(key, object)` pairs, under the strict
+/// total order `(distance, key)`; the neighbors are the keys, closest
+/// first. Once `k` candidates are held, each later one is measured with
+/// [`DistanceMeasure::distance_within`] against the k-th best distance. A
+/// value above that cutoff loses to the k-th best whatever its key, so the
+/// outcome equals ranking every exact distance, and each candidate costs
+/// exactly one call.
+pub(crate) fn top_k<'a, O: 'a, D>(
     query: &O,
-    n: usize,
-    object: impl Fn(usize) -> &'a O,
+    candidates: impl IntoIterator<Item = (usize, &'a O)>,
     distance: &D,
     k: usize,
 ) -> KnnResult
 where
     D: DistanceMeasure<O> + ?Sized,
 {
-    assert!(k >= 1, "k must be at least 1");
-    assert!(k <= n, "k = {k} exceeds the database size {n}");
-    let mut scored: Vec<(usize, f64)> = (0..n)
-        .map(|i| (i, distance.distance(query, object(i))))
-        .collect();
-    let by_distance_then_index =
-        |a: &(usize, f64), b: &(usize, f64)| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0));
-    if k < scored.len() {
-        // O(n) selection of the k nearest; only those get sorted.
-        scored.select_nth_unstable_by(k - 1, by_distance_then_index);
-        scored.truncate(k);
+    let mut best: Vec<(usize, f64)> = Vec::with_capacity(k + 1);
+    for (key, object) in candidates {
+        let cutoff = best
+            .get(k.saturating_sub(1))
+            .map_or(f64::INFINITY, |&(_, d)| d);
+        let d = distance.distance_within(query, object, cutoff);
+        let at = best.partition_point(|&(j, e)| e.total_cmp(&d).then(j.cmp(&key)).is_lt());
+        if at < k {
+            best.insert(at, (key, d));
+            best.truncate(k);
+        }
     }
-    scored.sort_unstable_by(by_distance_then_index);
     KnnResult {
-        neighbors: scored.iter().map(|(i, _)| *i).collect(),
-        distances: scored.iter().map(|(_, d)| *d).collect(),
+        neighbors: best.iter().map(|&(i, _)| i).collect(),
+        distances: best.iter().map(|&(_, d)| d).collect(),
     }
 }
 
-/// The refine step of the online indexes (dynamic and concurrent): exact
-/// k-NN over the filter candidates `order` (global ids in filter order),
-/// read in place through `object`, with ties broken by filter position.
-/// The outcome carries the refine step's own exact distances, so a caller
-/// never recomputes them.
+/// The refine step of the static and routed indexes: the best `k` of the
+/// filter `candidates` (database indices), ties broken by database index.
+/// A candidate **set** determines the outcome whatever order it arrives
+/// in, which is what keeps those pipelines identical to each other.
+pub(crate) fn refine_candidates<O>(
+    query: &O,
+    database: &[O],
+    distance: &dyn DistanceMeasure<O>,
+    k: usize,
+    candidates: &[usize],
+    embedding_cost: usize,
+) -> RetrievalOutcome {
+    let pairs = candidates.iter().map(|&i| (i, &database[i]));
+    let refined = top_k(query, pairs, distance, k);
+    RetrievalOutcome {
+        neighbors: refined.neighbors,
+        distances: refined.distances,
+        embedding_cost,
+        refine_cost: candidates.len(),
+    }
+}
+
+/// The refine step of the online indexes (dynamic and concurrent): the best
+/// `k` of the filter candidates `order` (global ids in filter order), read
+/// in place through `object`, with ties broken by filter position.
 pub(crate) fn refine_in_place<'a, O: 'a>(
     query: &O,
     order: &[usize],
@@ -83,7 +112,8 @@ pub(crate) fn refine_in_place<'a, O: 'a>(
     k: usize,
     embedding_cost: usize,
 ) -> RetrievalOutcome {
-    let refined = knn_by(query, order.len(), |i| object(order[i]), distance, k);
+    let pairs = order.iter().map(|&g| object(g)).enumerate();
+    let refined = top_k(query, pairs, distance, k);
     RetrievalOutcome {
         neighbors: refined.neighbors.into_iter().map(|i| order[i]).collect(),
         distances: refined.distances,
@@ -95,8 +125,8 @@ pub(crate) fn refine_in_place<'a, O: 'a>(
 /// Exact k nearest neighbors of an embedded `query` within a flat row-major
 /// vector store under a (weighted) L1 distance, computed with the blocked
 /// batch kernel [`WeightedL1::eval_flat`] — one allocation-free pass over
-/// the contiguous buffer — followed by the same O(n) `(score, index)`
-/// selection as [`knn`].
+/// the contiguous buffer — followed by an O(n) selection under the same
+/// `(score, index)` order as [`knn`].
 ///
 /// This is the brute-force path for databases that *are* vectors (or whose
 /// exact distance is the embedded one): `WeightedL1::uniform(dim)` gives

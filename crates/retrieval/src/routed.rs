@@ -50,9 +50,8 @@
 //! is by cell, not by tile.)
 
 use crate::error::{check_query_params, QueryError};
-use crate::filter_refine::{
-    effective_p, refine_candidates, top_p_by_score, FilterKind, RetrievalOutcome,
-};
+use crate::filter_refine::{effective_p, top_p_by_score, FilterKind, RetrievalOutcome};
+use crate::knn::refine_candidates;
 use qse_core::QseModel;
 use qse_distance::vector::{
     weighted_l1_filter_batch_per_query_range, weighted_l1_filter_batch_range,

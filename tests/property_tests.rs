@@ -6,6 +6,9 @@
 //! * metric axioms for the measures that claim them, symmetry for the
 //!   symmetric non-metric ones,
 //! * DTW band monotonicity and the lock-step upper bound,
+//! * the cDTW kernel ≡ the rolling two-row reference DP **bit for bit**
+//!   at sample dims 1–5, every local cost and band, and its
+//!   `distance_within` cutoff contract,
 //! * Hungarian optimality against exhaustive permutation search,
 //! * Proposition 1 of the paper (the boosted classifier equals the
 //!   classifier induced by `F_out` + `D_out`) on randomly generated models,
@@ -23,7 +26,7 @@
 use query_sensitive_embeddings::core::model::{QseModel, TrainingHistory, WeakLearner};
 use query_sensitive_embeddings::core::Interval;
 use query_sensitive_embeddings::distance::chamfer::ChamferDistance;
-use query_sensitive_embeddings::distance::dtw::{ConstrainedDtw, TimeSeries};
+use query_sensitive_embeddings::distance::dtw::{BandWidth, ConstrainedDtw, LocalCost, TimeSeries};
 use query_sensitive_embeddings::distance::edit::EditDistance;
 use query_sensitive_embeddings::distance::hungarian::{
     brute_force_assignment, solve_assignment, CostMatrix,
@@ -129,6 +132,218 @@ fn dtw_is_bounded_by_lockstep_on_equal_lengths() {
         let lockstep: f64 = pairs.iter().map(|p| (p.0 - p.1).abs()).sum();
         assert!(ConstrainedDtw::unconstrained().eval(&a, &b) <= lockstep + 1e-9);
     }
+}
+
+/// The rolling two-row cDTW dynamic program that `ConstrainedDtw::eval`
+/// replaced, kept as the kernel's bit-exact reference: full-row reset per
+/// row, `cost + min(up, left, diag)` per cell.
+fn reference_cdtw(dtw: &ConstrainedDtw, a: &TimeSeries, b: &TimeSeries) -> f64 {
+    let (rows, cols) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    let (n, m) = (rows.len(), cols.len());
+    let requested = match dtw.band {
+        BandWidth::Absolute(w) => w,
+        BandWidth::Relative(frac) => (frac * n as f64).round() as usize,
+        BandWidth::Unconstrained => m,
+    };
+    let band = requested.max(m - n).min(m);
+    let local = |x: &[f64], y: &[f64]| -> f64 {
+        let sq = || x.iter().zip(y).map(|(p, q)| (p - q) * (p - q)).sum::<f64>();
+        match dtw.local_cost {
+            LocalCost::Euclidean => sq().sqrt(),
+            LocalCost::SquaredEuclidean => sq(),
+            LocalCost::Manhattan => x.iter().zip(y).map(|(p, q)| (p - q).abs()).sum::<f64>(),
+        }
+    };
+    let inf = f64::INFINITY;
+    let mut prev = vec![inf; m + 1];
+    let mut curr = vec![inf; m + 1];
+    prev[0] = 0.0;
+    for i in 1..=n {
+        curr.iter_mut().for_each(|c| *c = inf);
+        let lo = i.saturating_sub(band).max(1);
+        let hi = (i + band).min(m);
+        for j in lo..=hi {
+            let cost = local(rows.sample(i - 1), cols.sample(j - 1));
+            curr[j] = cost + prev[j].min(curr[j - 1]).min(prev[j - 1]);
+        }
+        std::mem::swap(&mut prev, &mut curr);
+    }
+    prev[m]
+}
+
+/// A `dim`-dimensional series with a length drawn from `lens`; `coarse`
+/// draws from five integers so local costs and accumulated cells tie
+/// often.
+fn random_series_dim(
+    rng: &mut StdRng,
+    lens: std::ops::Range<usize>,
+    dim: usize,
+    coarse: bool,
+) -> TimeSeries {
+    let len = rng.gen_range(lens);
+    let mut draw = || {
+        if coarse {
+            rng.gen_range(-2..=2) as f64
+        } else {
+            rng.gen_range(-5.0..5.0)
+        }
+    };
+    TimeSeries::new(
+        (0..len)
+            .map(|_| (0..dim).map(|_| draw()).collect())
+            .collect(),
+    )
+}
+
+fn all_cdtw_configs() -> Vec<ConstrainedDtw> {
+    let bands = [
+        BandWidth::Absolute(0),
+        BandWidth::Absolute(1),
+        BandWidth::Absolute(4),
+        BandWidth::Relative(0.1),
+        BandWidth::Relative(0.35),
+        BandWidth::Relative(1.0),
+        BandWidth::Unconstrained,
+    ];
+    let costs = [
+        LocalCost::Euclidean,
+        LocalCost::SquaredEuclidean,
+        LocalCost::Manhattan,
+    ];
+    bands
+        .iter()
+        .flat_map(|&band| {
+            costs
+                .iter()
+                .map(move |&local_cost| ConstrainedDtw { band, local_cost })
+        })
+        .collect()
+}
+
+#[test]
+fn cdtw_kernel_is_bit_identical_to_the_rolling_reference() {
+    // Both cost paths (dim 2 fixed, 1 and 3-5 at run time), unequal and
+    // single-sample lengths, every local cost and band (zero and
+    // unconstrained included), and tied/duplicate series.
+    let mut rng = StdRng::seed_from_u64(0xB4);
+    let configs = all_cdtw_configs();
+    for case in 0..CASES {
+        let dim = 1 + case % 5;
+        let coarse = case % 3 == 0;
+        let a = random_series_dim(&mut rng, 1..20, dim, coarse);
+        let b = random_series_dim(&mut rng, 1..30, dim, coarse);
+        // `a` played at half speed: a perfect warp of `a` at most bands.
+        let stretched =
+            TimeSeries::new(a.samples().flat_map(|s| [s.to_vec(), s.to_vec()]).collect());
+        let pairs = [
+            (&a, &b),
+            (&b, &a),
+            (&a, &a),
+            (&a, &a.clone()),
+            (&a, &stretched),
+        ];
+        for dtw in &configs {
+            for (x, y) in pairs {
+                let got = dtw.eval(x, y);
+                let want = reference_cdtw(dtw, x, y);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "case {case}, dim {dim}, {dtw:?}: {got} vs {want}"
+                );
+                assert_eq!(dtw.distance(x, y).to_bits(), want.to_bits());
+            }
+        }
+    }
+}
+
+#[test]
+fn cdtw_distance_within_is_exact_up_to_the_cutoff() {
+    // The contract: the exact distance when it is at most `cutoff`,
+    // otherwise a value above `cutoff` (for cDTW, a lower bound of the
+    // distance). Some cutoffs must actually stop the program early.
+    let mut rng = StdRng::seed_from_u64(0xB5);
+    let configs = all_cdtw_configs();
+    let mut stopped_early = 0;
+    for case in 0..CASES {
+        let dim = 1 + case % 5;
+        let coarse = case % 3 == 0;
+        let a = random_series_dim(&mut rng, 2..20, dim, coarse);
+        let b = random_series_dim(&mut rng, 2..30, dim, coarse);
+        for dtw in &configs {
+            let exact = dtw.eval(&a, &b);
+            let cutoffs = [
+                0.0,
+                0.25 * exact,
+                0.9 * exact,
+                exact.next_down(),
+                exact,
+                exact.next_up(),
+                2.0 * exact,
+                f64::INFINITY,
+            ];
+            // On integer samples the Manhattan and squared costs make every
+            // cell an integer, so some of these equal a row's minimum.
+            let whole = (0..=exact.min(64.0) as usize).map(|c| c as f64);
+            for cutoff in cutoffs.into_iter().chain(whole) {
+                let within = dtw.distance_within(&a, &b, cutoff);
+                if exact <= cutoff {
+                    assert_eq!(within.to_bits(), exact.to_bits(), "{dtw:?} at {cutoff}");
+                } else {
+                    assert!(within > cutoff, "{dtw:?}: {within} not above {cutoff}");
+                    assert!(within <= exact, "{dtw:?}: {within} above {exact}");
+                    stopped_early += usize::from(within < exact);
+                }
+            }
+        }
+    }
+    assert!(stopped_early > 0, "no cutoff stopped the program early");
+}
+
+#[test]
+fn distance_within_forwards_and_counts_once() {
+    // Wrappers reach the measure's own `distance_within`; a measure
+    // without one answers exactly; the counter sees one call per call.
+    let mut rng = StdRng::seed_from_u64(0xB6);
+    let a = random_series_dim(&mut rng, 40..41, 2, false);
+    let b = random_series_dim(&mut rng, 40..41, 2, false);
+    let dtw = ConstrainedDtw::paper();
+    let exact = dtw.eval(&a, &b);
+    let cutoff = 0.1 * exact;
+    let direct = dtw.distance_within(&a, &b, cutoff);
+    assert!(
+        cutoff < direct && direct < exact,
+        "the pair must stop early"
+    );
+    let boxed: Box<dyn DistanceMeasure<TimeSeries>> = Box::new(dtw);
+    let arced: std::sync::Arc<dyn DistanceMeasure<TimeSeries>> = std::sync::Arc::new(dtw);
+    let counting = CountingDistance::new(dtw);
+    for forwarded in [
+        <&ConstrainedDtw as DistanceMeasure<TimeSeries>>::distance_within(&&dtw, &a, &b, cutoff),
+        boxed.distance_within(&a, &b, cutoff),
+        arced.distance_within(&a, &b, cutoff),
+        counting.distance_within(&a, &b, cutoff),
+        counting.distance_within(&a, &b, cutoff),
+    ] {
+        assert_eq!(forwarded.to_bits(), direct.to_bits());
+    }
+    assert_eq!(counting.count(), 2);
+
+    let l2 = LpDistance::l2();
+    let (x, y) = (vec![0.0, 3.0], vec![4.0, 0.0]);
+    assert_eq!(l2.distance_within(&x, &y, 1.0), 5.0);
+}
+
+#[test]
+#[should_panic(expected = "finite")]
+fn time_series_rejects_a_nan_sample() {
+    let _ = TimeSeries::new(vec![vec![0.0, 1.0], vec![f64::NAN, 2.0]]);
+}
+
+#[test]
+#[should_panic(expected = "finite")]
+fn time_series_rejects_an_infinite_sample() {
+    let _ = TimeSeries::univariate([1.0, f64::INFINITY, 3.0]);
 }
 
 #[test]
