@@ -3,11 +3,14 @@
 //! (global L1) filter steps, at database sizes 1k and 10k — plus two
 //! substrate microbenchmarks:
 //!
-//! * `filter_kernel/*` — the blocked `WeightedL1::eval_flat` batch kernel
-//!   against the row-by-row scalar `eval` loop over the same flat store;
-//! * `batch_kernel/*` — the Q×N tiled `WeightedL1::eval_flat_batch` kernel
+//! * `filter_kernel/*` — the single-query filter scan
+//!   (`WeightedL1::eval_filter` on an `f64` store) against the row-by-row
+//!   scalar `eval` loop over the same flat store;
+//! * `batch_kernel/*` — the Q×N tiled `WeightedL1::eval_filter_batch` scan
 //!   (256 queries per pass, database rows amortized across a tile of query
-//!   rows) against the per-query `eval_flat` loop it batches;
+//!   rows) against the per-query `eval_filter` loop it batches. The cell
+//!   ids keep their historical `eval_flat` names so the bench trajectory
+//!   stays comparable;
 //! * `fanout_substrate/*` — a 256-chunk `par_map` on the persistent worker
 //!   pool against the same fan-out on freshly spawned `std::thread::scope`
 //!   threads (the substrate the pool replaced);
@@ -15,11 +18,10 @@
 //!   precision (`f64` / `f32` / `u8`-quantized flat stores) at dims 8 and
 //!   32, database sizes 1k and 10k: the memory-bandwidth axis of the filter
 //!   scan (outputs differ only by the backends' documented rounding, pinned
-//!   by the workspace store-backend tests). The `u8int` cells scan the same
-//!   `u8` store through the in-domain integer SAD path the retrieval
-//!   pipelines dispatch to (`qse_distance::sad`) — no per-value
-//!   dequantization — next to the decode-path `u8` cells they replace on
-//!   the hot path.
+//!   by the workspace store-backend tests). Every cell runs the filter scan
+//!   the retrieval pipelines run: the decode path on `f64`/`f32`, and on
+//!   `u8` the in-domain integer SAD path (`qse_distance::sad`), labelled
+//!   `u8int`.
 //! * `routed/*` — the cluster-routed candidate-generation layer
 //!   (`qse_retrieval::routed`) head-to-head against the unrouted full-scan
 //!   pipeline it wraps, on deterministic mixture-of-Gaussians workloads
@@ -229,7 +231,7 @@ fn bench_query_throughput(c: &mut Criterion) {
 }
 
 /// Kernel vs scalar: score one query against every row of a flat store.
-/// `eval_flat` is the blocked lane kernel the filter step runs; the scalar
+/// `eval_filter` is the blocked lane kernel the filter step runs; the scalar
 /// baseline is the row-by-row `eval` loop it replaced (results are
 /// bit-identical — asserted by the workspace property tests — so this
 /// measures pure kernel speedup).
@@ -248,7 +250,7 @@ fn bench_filter_kernel(c: &mut Criterion) {
         let mut group = c.benchmark_group("filter_kernel");
         group.bench_with_input(BenchmarkId::new("eval_flat", db_size), &db_size, |b, _| {
             b.iter(|| {
-                d.eval_flat(black_box(&query), black_box(&store), &mut out);
+                d.eval_filter(black_box(&query), black_box(&store), &mut out);
                 black_box(out[db_size - 1])
             })
         });
@@ -269,9 +271,9 @@ fn bench_filter_kernel(c: &mut Criterion) {
 }
 
 /// Tiled batch kernel vs per-query scans: score a 256-query batch against
-/// every row of a flat store. `eval_flat_batch` streams the database once
+/// every row of a flat store. `eval_filter_batch` streams the database once
 /// per [`qse_distance::vector::QUERY_TILE`]-query tile; the baseline is the
-/// per-query `eval_flat` loop that re-streams the whole store for every
+/// per-query `eval_filter` loop that re-streams the whole store for every
 /// query (outputs are bit-identical — asserted by the workspace property
 /// tests — so this measures pure tiling speedup).
 fn bench_batch_kernel(c: &mut Criterion) {
@@ -300,7 +302,7 @@ fn bench_batch_kernel(c: &mut Criterion) {
                 &db_size,
                 |b, _| {
                     b.iter(|| {
-                        d.eval_flat_batch(black_box(&queries), black_box(&store), &mut out);
+                        d.eval_filter_batch(black_box(&queries), black_box(&store), &mut out);
                         black_box(out[out.len() - 1])
                     })
                 },
@@ -311,7 +313,7 @@ fn bench_batch_kernel(c: &mut Criterion) {
                 |b, _| {
                     b.iter(|| {
                         for (q, slot) in out.chunks_mut(db_size).enumerate() {
-                            d.eval_flat(black_box(queries.row(q)), black_box(&store), slot);
+                            d.eval_filter(black_box(queries.row(q)), black_box(&store), slot);
                         }
                         black_box(out[out.len() - 1])
                     })
@@ -322,39 +324,20 @@ fn bench_batch_kernel(c: &mut Criterion) {
     }
 }
 
-/// How one `store_backend` cell scans its store: the decode-path kernels
-/// (`eval_flat*` — exact decoded-row scores), or the backend-dispatched
-/// filter path (`eval_filter*` — the in-domain integer SAD kernel on
-/// `u8`, labelled `u8int` in the ids, which is what the retrieval
-/// pipelines actually run).
-#[derive(Clone, Copy)]
-enum ScanPath {
-    Decode,
-    Filter,
-}
-
-/// One `store_backend` cell: the tiled-batch and single-query kernels
+/// One `store_backend` cell: the tiled-batch and single-query filter scans
 /// over a `FlatStore<E>` built from the same full-precision rows as every
 /// other backend, so the only variables are the bytes the scan streams
-/// per coordinate and the `ScanPath` arithmetic. Comparing `u8int`
-/// (filter path) to `u8` (decode path) isolates what skipping the
-/// per-value dequantization buys; comparing it to `f64` shows whether the
-/// compact store is the fastest one outright.
+/// per coordinate and the backend's kernel. `label` names the cell in the
+/// ids (`u8int` for the integer SAD scan of the `u8` store).
 fn bench_store_backend_cell<E: FilterElem>(
     c: &mut Criterion,
+    label: &str,
     d: &WeightedL1,
     queries: &FlatVectors,
     rows: &[Vec<f64>],
     dim: usize,
     db_size: usize,
-    path: ScanPath,
 ) {
-    // The filter path's id gets an `int` suffix (`u8int`): it is only
-    // benchmarked where it differs from the decode path.
-    let label = match path {
-        ScanPath::Decode => E::NAME.to_string(),
-        ScanPath::Filter => format!("{}int", E::NAME),
-    };
     let store = FlatStore::<E>::from_rows_with_dim(dim, rows.to_vec());
     let mut out = vec![0.0; queries.len() * store.len()];
     let mut group = c.benchmark_group("store_backend");
@@ -366,14 +349,7 @@ fn bench_store_backend_cell<E: FilterElem>(
         &db_size,
         |b, _| {
             b.iter(|| {
-                match path {
-                    ScanPath::Decode => {
-                        d.eval_flat_batch(black_box(queries), black_box(&store), &mut out)
-                    }
-                    ScanPath::Filter => {
-                        d.eval_filter_batch(black_box(queries), black_box(&store), &mut out)
-                    }
-                }
+                d.eval_filter_batch(black_box(queries), black_box(&store), &mut out);
                 black_box(out[out.len() - 1])
             })
         },
@@ -387,11 +363,11 @@ fn bench_store_backend_cell<E: FilterElem>(
         &db_size,
         |b, _| {
             b.iter(|| {
-                let query = black_box(queries.row(0));
-                match path {
-                    ScanPath::Decode => d.eval_flat(query, black_box(&store), &mut single_out),
-                    ScanPath::Filter => d.eval_filter(query, black_box(&store), &mut single_out),
-                }
+                d.eval_filter(
+                    black_box(queries.row(0)),
+                    black_box(&store),
+                    &mut single_out,
+                );
                 black_box(single_out[single_out.len() - 1])
             })
         },
@@ -420,13 +396,9 @@ fn bench_store_backends(c: &mut Criterion) {
             let rows: Vec<Vec<f64>> = (0..db_size)
                 .map(|_| (0..dim).map(|_| rng.gen_range(-10.0..10.0)).collect())
                 .collect();
-            // The filter path only differs from the decode path on u8
-            // (it is bit-identical on the exact backends), so only the u8
-            // cell gets a second, `u8int`, run.
-            bench_store_backend_cell::<f64>(c, &d, &queries, &rows, dim, db_size, ScanPath::Decode);
-            bench_store_backend_cell::<f32>(c, &d, &queries, &rows, dim, db_size, ScanPath::Decode);
-            bench_store_backend_cell::<u8>(c, &d, &queries, &rows, dim, db_size, ScanPath::Decode);
-            bench_store_backend_cell::<u8>(c, &d, &queries, &rows, dim, db_size, ScanPath::Filter);
+            bench_store_backend_cell::<f64>(c, "f64", &d, &queries, &rows, dim, db_size);
+            bench_store_backend_cell::<f32>(c, "f32", &d, &queries, &rows, dim, db_size);
+            bench_store_backend_cell::<u8>(c, "u8int", &d, &queries, &rows, dim, db_size);
         }
     }
 }

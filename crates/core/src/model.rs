@@ -16,7 +16,8 @@
 
 use crate::json::{JsonCodec, JsonError, JsonValue};
 use crate::weak::Interval;
-use qse_distance::{DistanceMeasure, FilterElem, FlatStore, FlatVectors};
+use qse_distance::vector::{filter_scan, filter_scan_batch, filter_scan_range};
+use qse_distance::{DistanceMeasure, FilterElem, FlatStore, FlatVectors, QueryWeights};
 use qse_embedding::one_d::Candidate;
 use qse_embedding::{CompositeEmbedding, Embedding, OneDEmbedding};
 
@@ -49,7 +50,8 @@ impl EmbeddedQuery {
     ///
     /// Delegates to the workspace's canonical blocked weighted-L1 routine
     /// (`qse_distance::vector::weighted_l1_row`), so the result is
-    /// bit-identical to what [`Self::score_flat`] writes for the same row.
+    /// bit-identical to what [`Self::score_filter`] writes for the same row
+    /// of an `f64` store.
     ///
     /// # Panics
     /// Panics if `x` has the wrong dimensionality.
@@ -58,40 +60,20 @@ impl EmbeddedQuery {
         qse_distance::vector::weighted_l1_row(&self.weights, &self.coordinates, x)
     }
 
-    /// Score this query against every row of a flat vector store in one
-    /// pass: `out[i] = D_out(F_out(q), row_i)`. This is the query-sensitive
-    /// filter step's hot kernel — no per-row allocation, blocked
-    /// auto-vectorizable reduction, generic over the store's [`FilterElem`]
-    /// precision: on the exact (`f64`) backend it is bit-identical to
-    /// calling [`Self::distance_to`] row by row, on the compact backends it
-    /// scores the decoded rows.
+    /// The query-sensitive filter scan: `out[i] = D_out(F_out(q), row_i)`
+    /// for every row of a flat store (`qse_distance::vector::filter_scan`
+    /// under this query's weights `A_i(q)`). On the `f64`/`f32` backends
+    /// each score is bit-identical to [`Self::distance_to`] on the
+    /// decoded row; `u8` stores are scanned by the in-domain integer SAD
+    /// kernel (`qse_distance::sad`), whose scores carry the documented
+    /// query-side quantization error that the retrieval pipelines'
+    /// exact-distance refine step absorbs.
     ///
     /// # Panics
     /// Panics if the store's dimensionality differs from the query's or
     /// `out.len() != vectors.len()`.
-    pub fn score_flat<E: FilterElem>(&self, vectors: &FlatStore<E>, out: &mut [f64]) {
-        qse_distance::vector::weighted_l1_flat(&self.weights, &self.coordinates, vectors, out)
-    }
-
-    /// The **filter-path** counterpart of [`Self::score_flat`]: dispatched
-    /// through the store backend's `FilterElem::scan_filter`, so the exact
-    /// backends run the decode kernel bit-identically to
-    /// [`Self::score_flat`] while `u8` stores are scanned by the in-domain
-    /// integer SAD kernel (`qse_distance::sad`) — the query's coordinates
-    /// are quantized onto the store's grid and scores carry the documented
-    /// query-side quantization error, which the retrieval pipelines'
-    /// exact-distance refine step absorbs. This is what the
-    /// filter-and-refine indexes call in their filter step.
-    ///
-    /// # Panics
-    /// As [`Self::score_flat`].
     pub fn score_filter<E: FilterElem>(&self, vectors: &FlatStore<E>, out: &mut [f64]) {
-        qse_distance::vector::weighted_l1_filter_flat(
-            &self.weights,
-            &self.coordinates,
-            vectors,
-            out,
-        )
+        filter_scan(&self.weights, &self.coordinates, vectors, out)
     }
 }
 
@@ -134,64 +116,18 @@ impl EmbeddedQueryBatch {
         }
     }
 
-    /// One *sequential* tile of [`Self::score_flat_batch`]: score only
+    /// One *sequential* tile of [`Self::score_filter_batch`]: score only
     /// queries `start..end` on the calling thread, writing the row-major
-    /// `(end − start) × vectors.len()` tile into `out`. The batched
-    /// retrieval pipelines hand each worker one tile-sized range this way,
-    /// so scores land in a small tile-local buffer consumed while still
-    /// cache-hot. Bit-identical to the corresponding rows of the full
-    /// batch.
+    /// `(end − start) × vectors.len()` tile into `out`
+    /// (`qse_distance::vector::filter_scan_range` under per-query
+    /// weights). The batched retrieval pipelines hand each worker one
+    /// tile-sized range this way, so scores land in a small tile-local
+    /// buffer consumed while still cache-hot. Bit-identical to the
+    /// corresponding rows of the full batch.
     ///
     /// # Panics
     /// Panics on dimensionality mismatch, an out-of-bounds query range, or
     /// `out.len() != (end - start) * vectors.len()`.
-    pub fn score_flat_batch_range<E: FilterElem>(
-        &self,
-        start: usize,
-        end: usize,
-        vectors: &FlatStore<E>,
-        out: &mut [f64],
-    ) {
-        qse_distance::vector::weighted_l1_flat_batch_per_query_range(
-            &self.weights,
-            &self.coordinates,
-            start,
-            end,
-            vectors,
-            out,
-        )
-    }
-
-    /// Score every query of the batch against every row of a flat vector
-    /// store: `out[q * vectors.len() + i] = D_out(F_out(q_q), row_i)`,
-    /// row-major Q×N. This is the batched query-sensitive filter step — the
-    /// Q×N tiled kernel with per-query weight rows
-    /// (`qse_distance::vector::weighted_l1_flat_batch_per_query`), whose
-    /// scores are bit-identical to calling [`EmbeddedQuery::score_flat`]
-    /// query by query at any thread count.
-    ///
-    /// # Panics
-    /// Panics if the store's dimensionality differs from the batch's or
-    /// `out.len() != self.len() * vectors.len()`.
-    pub fn score_flat_batch<E: FilterElem>(&self, vectors: &FlatStore<E>, out: &mut [f64]) {
-        qse_distance::vector::weighted_l1_flat_batch_per_query(
-            &self.weights,
-            &self.coordinates,
-            vectors,
-            out,
-        )
-    }
-
-    /// The **filter-path** counterpart of
-    /// [`Self::score_flat_batch_range`]: one sequential tile dispatched
-    /// through the store backend's `FilterElem::scan_filter_range` —
-    /// bit-identical to [`Self::score_flat_batch_range`] on the exact
-    /// backends, the tiled integer SAD kernel on `u8` (see
-    /// [`EmbeddedQuery::score_filter`]). The batched retrieval pipelines
-    /// score their per-tile filter step through this.
-    ///
-    /// # Panics
-    /// As [`Self::score_flat_batch_range`].
     pub fn score_filter_batch_range<E: FilterElem>(
         &self,
         start: usize,
@@ -199,29 +135,23 @@ impl EmbeddedQueryBatch {
         vectors: &FlatStore<E>,
         out: &mut [f64],
     ) {
-        qse_distance::vector::weighted_l1_filter_batch_per_query_range(
-            &self.weights,
-            &self.coordinates,
-            start,
-            end,
-            vectors,
-            out,
-        )
+        let weights = QueryWeights::PerQuery(&self.weights);
+        filter_scan_range(weights, &self.coordinates, start, end, vectors, out)
     }
 
-    /// The **filter-path** counterpart of [`Self::score_flat_batch`]
-    /// (whole batch, backend-dispatched tiled scan on the persistent
-    /// worker pool; see [`EmbeddedQuery::score_filter`]).
+    /// The batched query-sensitive filter scan:
+    /// `out[q * vectors.len() + i] = D_out(F_out(q_q), row_i)`, row-major
+    /// Q×N, in query tiles on the persistent worker pool
+    /// (`qse_distance::vector::filter_scan_batch` under per-query
+    /// weights). Scores are bit-identical to calling
+    /// [`EmbeddedQuery::score_filter`] query by query at any thread count.
     ///
     /// # Panics
-    /// As [`Self::score_flat_batch`].
+    /// Panics if the store's dimensionality differs from the batch's or
+    /// `out.len() != self.len() * vectors.len()`.
     pub fn score_filter_batch<E: FilterElem>(&self, vectors: &FlatStore<E>, out: &mut [f64]) {
-        qse_distance::vector::weighted_l1_filter_batch_per_query(
-            &self.weights,
-            &self.coordinates,
-            vectors,
-            out,
-        )
+        let weights = QueryWeights::PerQuery(&self.weights);
+        filter_scan_batch(weights, &self.coordinates, vectors, out)
     }
 }
 
@@ -702,10 +632,10 @@ mod tests {
         let store = FlatVectors::from_rows(vec![vec![2.0, 8.0], vec![7.0, 3.0], vec![0.0, 10.0]]);
         let batch = m.embed_queries(&queries, &d);
         let mut scores = vec![f64::NAN; queries.len() * store.len()];
-        batch.score_flat_batch(&store, &mut scores);
+        batch.score_filter_batch(&store, &mut scores);
         let mut single = vec![f64::NAN; store.len()];
         for (q, query) in queries.iter().enumerate() {
-            m.embed_query(query, &d).score_flat(&store, &mut single);
+            m.embed_query(query, &d).score_filter(&store, &mut single);
             for (i, score) in single.iter().enumerate() {
                 assert_eq!(
                     scores[q * store.len() + i].to_bits(),

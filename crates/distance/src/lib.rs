@@ -16,24 +16,25 @@
 //!
 //! * [`vector`] — `Lp` norms, the plain and *weighted* `L1` distances used to
 //!   compare embedded vectors (Section 5.4), the flat row-major
-//!   [`FlatVectors`] store, the blocked [`WeightedL1::eval_flat`] batch
-//!   kernel behind the filter step's hot scan, and its Q×N tiled companion
-//!   [`WeightedL1::eval_flat_batch`] that scores a whole query batch per
-//!   pass over the database (tile layout and bit-identity guarantees are
-//!   documented in the [`vector`] module). The store is generic over its
-//!   element precision ([`FilterElem`]: exact `f64`, compact `f32`, or
-//!   `u8` scalar quantization — [`FlatVectors`] is the `f64` default), so
-//!   the filter scan can trade precision for memory bandwidth while the
-//!   refine step keeps final rankings exact.
+//!   [`FlatVectors`] store, and the filter step's one scan surface:
+//!   [`vector::filter_scan`] scores one query against every stored row,
+//!   [`vector::filter_scan_range`] one sequential tile of a query batch,
+//!   [`vector::filter_scan_batch`] a whole batch in parallel tiles, each
+//!   under shared or per-query [`QueryWeights`]. The store is generic over
+//!   its element precision ([`FilterElem`]: exact `f64`, compact `f32`, or
+//!   `u8` scalar quantization — [`FlatVectors`] is the `f64` default), and
+//!   each backend supplies its own scan kernel through the
+//!   [`FilterElem::scan_filter`] / [`FilterElem::scan_filter_range`]
+//!   hooks: the `f64`/`f32` decode path, bit-identical to the row-by-row
+//!   weighted L1, or for `u8` the in-domain integer SAD kernel of [`sad`].
+//!   Tile layout and bit-identity guarantees are documented in the
+//!   [`vector`] module.
 //! * [`sad`] — the in-domain integer scoring path for the `u8` store:
 //!   quantize the query onto the store's grid, accumulate the weighted
 //!   sum of absolute `u8` differences in widened integer arithmetic, and
 //!   apply one per-query rescale — no per-value dequantization in the
-//!   scan, which is what finally makes the 8×-smaller store also the
-//!   *fastest* one on compute-bound hosts. The retrieval pipelines reach
-//!   it through the [`FilterElem`] filter-path dispatch
-//!   (`scan_filter` / `scan_filter_range`), which the exact backends
-//!   satisfy with the decode kernels bit-identically.
+//!   scan, which is what makes the 8×-smaller store also the *fastest*
+//!   one on compute-bound hosts.
 //! * [`dtw`] — constrained (Sakoe–Chiba band) Dynamic Time Warping over
 //!   multi-dimensional sequences, the exact distance of the time-series
 //!   experiments (Section 9).
@@ -79,8 +80,10 @@ pub use counting::CountingDistance;
 pub use dtw::{ConstrainedDtw, TimeSeries};
 pub use matrix::DistanceMatrix;
 pub use mmap::{MapError, MapRegion};
-pub use sad::{SadQuery, SadQueryBatch};
+pub use sad::SadQuery;
 pub use shape_context::{PointSet, ShapeContextDistance};
 pub use storage::{MappedSlice, MappedWords, Storage};
 pub use traits::{DistanceMeasure, MetricProperties};
-pub use vector::{FilterElem, FlatStore, FlatVectors, LpDistance, QuantParams, WeightedL1};
+pub use vector::{
+    FilterElem, FlatStore, FlatVectors, LpDistance, QuantParams, QueryWeights, WeightedL1,
+};

@@ -1,12 +1,13 @@
 //! In-domain integer scoring for the `u8` quantized filter store: the
 //! weighted sum-of-absolute-differences (SAD) kernels.
 //!
-//! The decode-path kernels in [`crate::vector`] score a `u8` store by
-//! dequantizing each cache-sized block back to `f64` and running the
-//! canonical weighted-L1 reduction — correct, but the dequantization
-//! arithmetic (`lo + s · v` per stored value) makes the compact store
-//! *slower* than `f64` on compute-bound hosts. The kernels here never
-//! leave the integer domain:
+//! This is the `u8` backend of the filter scan: the `u8` implementation
+//! of [`FilterElem::scan_filter`] / [`FilterElem::scan_filter_range`]
+//! runs it behind [`crate::vector::filter_scan`] and its tile entries.
+//! Dequantizing each block back to `f64` for the decode path would cost
+//! `lo + s · v` per stored value and make the compact store *slower* than
+//! `f64` on compute-bound hosts, so the kernel here never leaves the
+//! integer domain:
 //!
 //! 1. **Quantize the query onto the store's grid** at scoring time
 //!    ([`SadQuery::new`]): coordinate `j` of the query becomes the level
@@ -20,7 +21,7 @@
 //!    `iw_j = round(c_j / rescale)` with one per-query
 //!    `rescale = max_j c_j / 65535`.
 //! 3. **Accumulate `Σ_j iw_j · |qcode_j − row_j|` in widened integer
-//!    arithmetic** over the raw `u8` rows ([`weighted_sad_row`]): `u8`
+//!    arithmetic** over the raw `u8` rows (`weighted_sad_row`): `u8`
 //!    absolute differences and `u16` weight levels multiply-accumulate
 //!    through `u32` lanes (overflow-free per [`SAD_CHUNK`]-coordinate
 //!    chunk by construction), chunks fold into a `u64` total — no
@@ -28,8 +29,8 @@
 //! 4. **One per-query rescale** maps the integer sum back to score
 //!    units: `score = offset + rescale · sum`. Integer addition is
 //!    associative, so — unlike the floating-point kernels, which need
-//!    one canonical summation order — the single-query, batched and
-//!    tiled SAD kernels are **bit-identical** to each other *by
+//!    one canonical summation order — the single-query scan and the
+//!    tiled batch scan are **bit-identical** to each other *by
 //!    construction*, at any thread count.
 //!
 //! ## Exactness of the `offset`
@@ -50,8 +51,8 @@
 //!
 //! ## Error bound
 //!
-//! Relative to the decode-path score over the same store (i.e. the
-//! weighted L1 against the decoded rows), a SAD score differs by at most
+//! Relative to the weighted L1 against the decoded rows of the same store
+//! ([`FlatStore::decode_row`]), a SAD score differs by at most
 //! [`SadQuery::score_error_bound`]: `Σ_j c_j / 2` (query rounding, over
 //! coordinates with `scale_j > 0`) plus `255 · rescale / 2` per such
 //! coordinate (weight rounding — about `2⁻¹⁷ · max_j c_j` per
@@ -64,13 +65,12 @@
 //! ([`FilterElem::DEFAULT_P_SCALE`](crate::FilterElem::DEFAULT_P_SCALE)).
 //!
 //! Non-finite query coordinates degrade gracefully: a NaN query
-//! coordinate poisons the offset (every score becomes NaN, as on the
-//! decode path) unless its coordinate has `scale_j > 0`, in which case it
+//! coordinate poisons the offset (every score becomes NaN, as for the
+//! decoded rows) unless its coordinate has `scale_j > 0`, in which case it
 //! encodes to level 0 exactly like [`FilterElem::encode`] for stored
 //! rows.
 
-use crate::vector::{FilterElem, FlatStore, FlatVectors, QuantParams, QUERY_TILE};
-use rayon::prelude::*;
+use crate::vector::{FilterElem, FlatStore, FlatVectors, QuantParams, QueryWeights};
 
 /// Number of integer weight levels the combined per-coordinate weights
 /// `w_j · scale_j` are rounded onto (the largest one maps to exactly this
@@ -81,15 +81,15 @@ use rayon::prelude::*;
 /// the auto-vectorizer actually turns into packed integer multiplies.
 pub const SAD_WEIGHT_LEVELS: u32 = u16::MAX as u32;
 
-/// Coordinates per `u32` accumulation chunk of [`weighted_sad_row`]:
+/// Coordinates per `u32` accumulation chunk of `weighted_sad_row`:
 /// `SAD_CHUNK · 65535 · 255 < 2³²`, so a chunk's weighted SAD cannot
 /// overflow its `u32` lanes; chunks fold into a `u64` total. Embedding
 /// dimensionalities in this workspace are far below one chunk, so the
 /// fold is almost always a single widening move.
 pub const SAD_CHUNK: usize = 128;
 
-/// Number of `u8` values per database block of the tiled SAD kernels
-/// (32 KiB — the same byte footprint as the decode-path kernels'
+/// Number of `u8` values per database block of the tiled SAD scan
+/// (32 KiB — the same byte footprint as the decode path's
 /// [`crate::vector::BLOCK_VALUES`] `f64` blocks, sized to the L1 data
 /// cache). A block is rescanned by every query of a tile while hot.
 pub const SAD_BLOCK_VALUES: usize = 32 * 1024;
@@ -123,74 +123,17 @@ fn weighted_sad_chunk(iweights: &[u16], codes: &[u8], row: &[u8]) -> u32 {
     acc.iter().sum::<u32>() + tail
 }
 
-/// One `u32` chunk of the weighted SAD over a **pair** of database rows:
-/// the weight levels and query codes are loaded once per lane and reused
-/// against both rows, with one independent accumulator set per row. Each
-/// half accumulates exactly the lane products of [`weighted_sad_chunk`]
-/// on its row, so the pair result equals two single-row chunks bit for
-/// bit — the pairing only amortizes the shared query-side loads and the
-/// per-chunk loop control.
-#[inline]
-fn weighted_sad_chunk_pair(
-    iweights: &[u16],
-    codes: &[u8],
-    row_a: &[u8],
-    row_b: &[u8],
-) -> (u32, u32) {
-    debug_assert!(iweights.len() <= SAD_CHUNK, "chunk exceeds u32 capacity");
-    const LANES: usize = 8;
-    let mut acc_a = [0u32; LANES];
-    let mut acc_b = [0u32; LANES];
-    let mut w_blocks = iweights.chunks_exact(LANES);
-    let mut q_blocks = codes.chunks_exact(LANES);
-    let mut a_blocks = row_a.chunks_exact(LANES);
-    let mut b_blocks = row_b.chunks_exact(LANES);
-    for (((w, q), a), b) in (&mut w_blocks)
-        .zip(&mut q_blocks)
-        .zip(&mut a_blocks)
-        .zip(&mut b_blocks)
-    {
-        // Two independent lane loops (not one interleaved loop): each has
-        // the exact shape of the single-row kernel's — one output stream,
-        // no cross-row dependence — so the auto-vectorizer packs each the
-        // same way, while `w`/`q` stay register-resident across both.
-        for lane in 0..LANES {
-            acc_a[lane] += u32::from(w[lane]) * u32::from(q[lane].abs_diff(a[lane]));
-        }
-        for lane in 0..LANES {
-            acc_b[lane] += u32::from(w[lane]) * u32::from(q[lane].abs_diff(b[lane]));
-        }
-    }
-    let mut tail_a = 0u32;
-    let mut tail_b = 0u32;
-    for (((w, q), a), b) in w_blocks
-        .remainder()
-        .iter()
-        .zip(q_blocks.remainder())
-        .zip(a_blocks.remainder())
-        .zip(b_blocks.remainder())
-    {
-        let wq = u32::from(*w);
-        tail_a += wq * u32::from(q.abs_diff(*a));
-        tail_b += wq * u32::from(q.abs_diff(*b));
-    }
-    (
-        acc_a.iter().sum::<u32>() + tail_a,
-        acc_b.iter().sum::<u32>() + tail_b,
-    )
-}
-
 /// `Σ_j iweights_j · |codes_j − row_j|` in widened integer arithmetic:
 /// `u8` absolute differences and `u16` weight levels multiply-accumulate
 /// through `u32` lanes in [`SAD_CHUNK`]-coordinate chunks (no overflow by
 /// construction, see [`SAD_CHUNK`]), and the chunks fold into a `u64`
 /// total. Integer addition is associative, so any regrouping of this sum
-/// is bit-identical — the SAD kernels need no canonical summation order.
+/// is bit-identical — the SAD scans need no canonical summation order.
 ///
 /// The slices must share one length; full checking is left to the callers
 /// (debug builds assert).
 #[inline(always)]
-pub fn weighted_sad_row(iweights: &[u16], codes: &[u8], row: &[u8]) -> u64 {
+fn weighted_sad_row(iweights: &[u16], codes: &[u8], row: &[u8]) -> u64 {
     debug_assert_eq!(iweights.len(), codes.len(), "weight/code length mismatch");
     debug_assert_eq!(iweights.len(), row.len(), "weight/row length mismatch");
     if iweights.len() <= SAD_CHUNK {
@@ -205,55 +148,6 @@ pub fn weighted_sad_row(iweights: &[u16], codes: &[u8], row: &[u8]) -> u64 {
         total += u64::from(weighted_sad_chunk(w, a, b));
     }
     total
-}
-
-/// The weighted SAD of one query against **two** database rows in a
-/// single pass: `(Σ_j iw_j · |codes_j − a_j|, Σ_j iw_j · |codes_j − b_j|)`.
-///
-/// The query-side operands (`iweights`, `codes`) are loaded once and
-/// scored against both rows, halving the per-row loop-control and
-/// horizontal-fold overhead. Each component accumulates exactly the
-/// products of [`weighted_sad_row`] on its row — integer addition is
-/// associative — so the pair is **bit-identical** to two independent
-/// single-row calls, which the workspace tests pin.
-///
-/// Measured on the bench host, pairing *lost* to the plain per-row walk
-/// on every `eval_flat` cell (the two interleaved output streams defeat
-/// the auto-vectorizer that packs the single-row kernel), so the scan
-/// dispatch uses [`weighted_sad_row`] under ISA multiversioning instead
-/// — see `sad_rows_dispatch`. The pair kernel stays exported as a
-/// building block for callers that score ad-hoc row pairs outside a
-/// flat scan.
-///
-/// The slices must share one length; full checking is left to the callers
-/// (debug builds assert).
-#[inline]
-pub fn weighted_sad_row_pair(
-    iweights: &[u16],
-    codes: &[u8],
-    row_a: &[u8],
-    row_b: &[u8],
-) -> (u64, u64) {
-    debug_assert_eq!(iweights.len(), codes.len(), "weight/code length mismatch");
-    debug_assert_eq!(iweights.len(), row_a.len(), "weight/row length mismatch");
-    debug_assert_eq!(iweights.len(), row_b.len(), "weight/row length mismatch");
-    if iweights.len() <= SAD_CHUNK {
-        let (a, b) = weighted_sad_chunk_pair(iweights, codes, row_a, row_b);
-        return (u64::from(a), u64::from(b));
-    }
-    let mut total_a = 0u64;
-    let mut total_b = 0u64;
-    for (((w, q), a), b) in iweights
-        .chunks(SAD_CHUNK)
-        .zip(codes.chunks(SAD_CHUNK))
-        .zip(row_a.chunks(SAD_CHUNK))
-        .zip(row_b.chunks(SAD_CHUNK))
-    {
-        let (ca, cb) = weighted_sad_chunk_pair(w, q, a, b);
-        total_a += u64::from(ca);
-        total_b += u64::from(cb);
-    }
-    (total_a, total_b)
 }
 
 /// The flat SAD scan body: one query against a contiguous run of raw
@@ -407,7 +301,7 @@ impl SadQuery {
             // sum is identically zero and the offset is the whole score.
             (0.0, vec![0u16; dim])
         };
-        // Query-side error vs the decode-path score: half a grid step per
+        // Query-side error vs the decoded rows' score: half a grid step per
         // in-grid coordinate (c_j / 2) plus the weight rounding
         // (≤ rescale / 2 per level of difference, ≤ 255 levels).
         let error_bound = combined
@@ -450,9 +344,9 @@ impl SadQuery {
         self.offset
     }
 
-    /// Upper bound on `|SAD score − decode-path score|` over the store
-    /// this query was prepared for (query rounding + weight rounding; the
-    /// offset terms are exact). Add the store-side half-step bound
+    /// Upper bound on `|SAD score − weighted L1 to the decoded row|` over
+    /// the store this query was prepared for (query rounding + weight
+    /// rounding; the offset terms are exact). Add the store-side half-step bound
     /// `Σ_j w_j · scale_j / 2` to bound the distance to the *exact* `f64`
     /// filter score — the widened two-sided bound of the module docs.
     pub fn score_error_bound(&self) -> f64 {
@@ -461,8 +355,8 @@ impl SadQuery {
 
     /// Score a contiguous run of raw rows (`rows.len() / dim` of them)
     /// into `out` through [`sad_rows_dispatch`], which picks the widest
-    /// ISA variant the host supports. Bit-identical to
-    /// [`Self::score_row`] on every row regardless of the variant chosen
+    /// ISA variant the host supports. Bit-identical to the baseline body
+    /// on every row regardless of the variant chosen
     /// (the integer sums and the per-row `offset + rescale · sum` map
     /// are the same operations under any codegen), which the workspace
     /// tests pin.
@@ -499,335 +393,43 @@ impl SadQuery {
     }
 }
 
-/// A batch of queries prepared for integer-domain SAD scanning — one
-/// [`SadQuery`] per row of the source batch, scored in
-/// [`QUERY_TILE`]-query tiles over [`SAD_BLOCK_VALUES`]-value database
-/// blocks so a hot block serves the whole tile before the next one
-/// streams in.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SadQueryBatch {
-    queries: Vec<SadQuery>,
-    dim: usize,
-}
-
-impl SadQueryBatch {
-    /// Prepare every row of `queries` under one *shared* weight vector.
-    ///
-    /// # Panics
-    /// Panics if `weights`, `queries` and the grid disagree in
-    /// dimensionality.
-    pub fn new_shared(weights: &[f64], queries: &FlatVectors, params: &QuantParams) -> Self {
-        Self::from_range(weights, 0, queries, 0, queries.len(), params)
-    }
-
-    /// Prepare every row of `queries` under *per-query* weight rows (the
-    /// batched query-sensitive `D_out`).
-    ///
-    /// # Panics
-    /// Panics if the weight store does not hold exactly one row per query
-    /// or any dimensionality disagrees with the grid.
-    pub fn new_per_query(
-        weights: &FlatVectors,
-        queries: &FlatVectors,
-        params: &QuantParams,
-    ) -> Self {
-        assert_eq!(
-            weights.len(),
-            queries.len(),
-            "one weight row per query required"
-        );
-        Self::from_range(
-            weights.as_slice(),
-            weights.dim(),
-            queries,
-            0,
-            queries.len(),
-            params,
-        )
-    }
-
-    /// Prepare only queries `start..end` (`w_stride == 0` shares one
-    /// weight row, `w_stride == dim` selects per-query rows) — the
-    /// building block the batched retrieval pipelines use to prepare one
-    /// tile at a time.
-    pub(crate) fn from_range(
-        weights: &[f64],
-        w_stride: usize,
-        queries: &FlatVectors,
-        start: usize,
-        end: usize,
-        params: &QuantParams,
-    ) -> Self {
-        let dim = queries.dim();
-        assert!(
-            start <= end && end <= queries.len(),
-            "query range {start}..{end} out of bounds for {} queries",
-            queries.len()
-        );
-        let prepared = (start..end)
-            .map(|q| {
-                let w = &weights[q * w_stride..q * w_stride + dim];
-                SadQuery::new(w, queries.row(q), params)
-            })
-            .collect();
-        Self {
-            queries: prepared,
-            dim,
-        }
-    }
-
-    /// Number of prepared queries.
-    pub fn len(&self) -> usize {
-        self.queries.len()
-    }
-
-    /// `true` if the batch holds no queries.
-    pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
-    }
-
-    /// The prepared form of query `q`.
-    ///
-    /// # Panics
-    /// Panics if `q` is out of bounds.
-    pub fn query(&self, q: usize) -> &SadQuery {
-        &self.queries[q]
-    }
-
-    /// Score queries `start..end` *sequentially* against every row of
-    /// `vectors` on the calling thread, writing a row-major
-    /// `(end − start) × vectors.len()` tile into `out`. Bit-identical to
-    /// scoring each query with [`SadQuery::score`] (integer sums need no
-    /// canonical order).
-    ///
-    /// # Panics
-    /// Panics on dimensionality mismatch, an out-of-bounds range, or a
-    /// wrong output length.
-    pub fn score_range(&self, start: usize, end: usize, vectors: &FlatStore<u8>, out: &mut [f64]) {
-        let n = vectors.len();
-        let dim = vectors.dim();
-        assert_eq!(self.dim, dim, "query/store dimensionality mismatch");
-        assert!(
-            start <= end && end <= self.len(),
-            "query range {start}..{end} out of bounds for {} queries",
-            self.len()
-        );
-        assert_eq!(
-            out.len(),
-            (end - start) * n,
-            "one output slot per (query, row) pair required"
-        );
-        if start == end || n == 0 {
-            return;
-        }
-        if dim == 0 {
-            out.fill(0.0);
-            return;
-        }
-        let rows_per_block = (SAD_BLOCK_VALUES / dim).max(1);
-        let mut block_start = 0usize;
-        for raw in vectors.as_slice().chunks(rows_per_block * dim) {
-            let block_rows = raw.len() / dim;
-            for (qi, query) in self.queries[start..end].iter().enumerate() {
-                let out_start = qi * n + block_start;
-                let out_block = &mut out[out_start..out_start + block_rows];
-                query.score_rows_into(raw, dim, out_block);
-            }
-            block_start += block_rows;
-        }
-    }
-
-    /// Score the whole batch against every row of `vectors`, row-major
-    /// Q×N, fanning [`QUERY_TILE`]-query tiles out across the persistent
-    /// worker pool (disjoint output ranges; bit-identical to
-    /// [`Self::score_range`] at any thread count).
-    ///
-    /// # Panics
-    /// Panics on dimensionality mismatch or a wrong output length.
-    pub fn score(&self, vectors: &FlatStore<u8>, out: &mut [f64]) {
-        let n = vectors.len();
-        assert_eq!(
-            out.len(),
-            self.len() * n,
-            "one output slot per (query, row) pair required"
-        );
-        if self.is_empty() || n == 0 || vectors.dim() == 0 {
-            return self.score_range(0, self.len(), vectors, out);
-        }
-        out.par_chunks_mut(QUERY_TILE * n)
-            .enumerate()
-            .for_each(|(tile, tile_out)| {
-                let q0 = tile * QUERY_TILE;
-                let qcount = tile_out.len() / n;
-                self.score_range(q0, q0 + qcount, vectors, tile_out);
-            });
-    }
-}
-
-/// The single-query integer SAD kernel: prepare `query` under `weights`
-/// on the store's grid and score every row in one integer pass — the
-/// in-domain counterpart of
-/// [`weighted_l1_flat`](crate::vector::weighted_l1_flat) for `u8`
-/// stores. Preparation is O(dim); the scan is O(n · dim) integer ops.
-///
-/// # Panics
-/// Panics if `weights`/`query` do not match the store's dimensionality or
-/// `out` does not have exactly one slot per row.
-pub fn weighted_sad_flat(weights: &[f64], query: &[f64], vectors: &FlatStore<u8>, out: &mut [f64]) {
-    let dim = vectors.dim();
-    assert_eq!(weights.len(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(query.len(), dim, "query/store dimensionality mismatch");
-    assert_eq!(out.len(), vectors.len(), "one output slot per row required");
-    SadQuery::new(weights, query, vectors.params()).score(vectors, out);
-}
-
-/// The Q×N tiled integer SAD kernel with one *shared* weight vector — the
-/// in-domain counterpart of
-/// [`weighted_l1_flat_batch`](crate::vector::weighted_l1_flat_batch) for
-/// `u8` stores. Tiles fan out across the persistent worker pool;
-/// bit-identical to per-query [`weighted_sad_flat`] at any thread count.
-///
-/// # Panics
-/// Panics on dimensionality mismatch or a wrong output length.
-pub fn weighted_sad_flat_batch(
-    weights: &[f64],
-    queries: &FlatVectors,
-    vectors: &FlatStore<u8>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.len(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert_eq!(
-        out.len(),
-        queries.len() * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    SadQueryBatch::new_shared(weights, queries, vectors.params()).score(vectors, out);
-}
-
-/// The Q×N tiled integer SAD kernel with *per-query* weight rows (the
-/// batched query-sensitive `D_out`) — the in-domain counterpart of
-/// [`weighted_l1_flat_batch_per_query`](crate::vector::weighted_l1_flat_batch_per_query)
-/// for `u8` stores.
-///
-/// # Panics
-/// Panics if the weight store does not hold exactly one row per query, on
-/// dimensionality mismatch, or on a wrong output length.
-pub fn weighted_sad_flat_batch_per_query(
-    weights: &FlatVectors,
-    queries: &FlatVectors,
-    vectors: &FlatStore<u8>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.dim(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert_eq!(
-        out.len(),
-        queries.len() * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    SadQueryBatch::new_per_query(weights, queries, vectors.params()).score(vectors, out);
-}
-
-/// One *sequential* tile of [`weighted_sad_flat_batch`]: prepare and
-/// score only queries `start..end` on the calling thread — the entry
-/// point for callers that orchestrate their own tile fan-out (the
-/// batched retrieval pipelines). Bit-identical to the corresponding rows
-/// of the full batch kernel.
-///
-/// # Panics
-/// Panics on dimensionality mismatch, an out-of-bounds query range, or a
-/// wrong output length.
-pub fn weighted_sad_flat_batch_range(
-    weights: &[f64],
-    queries: &FlatVectors,
-    start: usize,
-    end: usize,
-    vectors: &FlatStore<u8>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.len(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert_eq!(
-        out.len(),
-        (end - start) * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    let tile = SadQueryBatch::from_range(weights, 0, queries, start, end, vectors.params());
-    tile.score_range(0, tile.len(), vectors, out);
-}
-
-/// One *sequential* tile of [`weighted_sad_flat_batch_per_query`]: like
-/// [`weighted_sad_flat_batch_range`] but query `q` is prepared under
-/// `weights.row(q)`.
-///
-/// # Panics
-/// As [`weighted_sad_flat_batch_range`], plus if the weight store does
-/// not hold exactly one row per query.
-pub fn weighted_sad_flat_batch_per_query_range(
-    weights: &FlatVectors,
-    queries: &FlatVectors,
-    start: usize,
-    end: usize,
-    vectors: &FlatStore<u8>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.dim(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert_eq!(
-        weights.len(),
-        queries.len(),
-        "one weight row per query required"
-    );
-    assert_eq!(
-        out.len(),
-        (end - start) * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    let tile = SadQueryBatch::from_range(
-        weights.as_slice(),
-        dim,
-        queries,
-        start,
-        end,
-        vectors.params(),
-    );
-    tile.score_range(0, tile.len(), vectors, out);
-}
-
-/// The internal range hook behind
-/// [`FilterElem::scan_filter_range`](crate::FilterElem::scan_filter_range)
-/// for `u8`: `w_stride` selects the shared (0) or per-query (`dim`)
-/// weight layout, exactly like the decode-path driver.
+/// The `u8` tile behind [`FilterElem::scan_filter_range`]: prepare one
+/// [`SadQuery`] per query of `start..end`, then walk the store in
+/// [`SAD_BLOCK_VALUES`]-value blocks, scoring every prepared query against
+/// a block while it is cache-hot. Bit-identical to [`SadQuery::score`] per
+/// query (integer sums need no canonical order). Shapes are checked by the
+/// calling entry; a query/store dimensionality mismatch still panics in
+/// [`SadQuery::new`].
 pub(crate) fn sad_scan_range(
-    weights: &[f64],
-    w_stride: usize,
+    weights: QueryWeights<'_>,
     queries: &FlatVectors,
     start: usize,
     end: usize,
     vectors: &FlatStore<u8>,
     out: &mut [f64],
 ) {
-    debug_assert_eq!(out.len(), (end - start) * vectors.len());
-    if queries.dim() != vectors.dim() {
-        // Degenerate empty-range calls tolerate a dim mismatch like the
-        // decode path (nothing is scored); real mismatches are caught by
-        // the public entry points' asserts.
-        debug_assert_eq!(start, end, "query/store dimensionality mismatch");
-        return;
+    let prepared: Vec<SadQuery> = (start..end)
+        .map(|q| SadQuery::new(weights.row(q), queries.row(q), vectors.params()))
+        .collect();
+    let n = vectors.len();
+    let dim = vectors.dim();
+    let rows_per_block = (SAD_BLOCK_VALUES / dim).max(1);
+    let mut block_start = 0usize;
+    for raw in vectors.as_slice().chunks(rows_per_block * dim) {
+        let block_rows = raw.len() / dim;
+        for (qi, query) in prepared.iter().enumerate() {
+            let out_start = qi * n + block_start;
+            query.score_rows_into(raw, dim, &mut out[out_start..out_start + block_rows]);
+        }
+        block_start += block_rows;
     }
-    let tile = SadQueryBatch::from_range(weights, w_stride, queries, start, end, vectors.params());
-    tile.score_range(0, tile.len(), vectors, out);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vector::{weighted_l1_flat, weighted_l1_row};
+    use crate::vector::QUERY_TILE;
+    use crate::vector::{filter_scan, filter_scan_batch, filter_scan_range, weighted_l1_row};
 
     fn synthetic_rows(dim: usize, rows: usize, phase: f64) -> Vec<Vec<f64>> {
         (0..rows)
@@ -840,7 +442,7 @@ mod tests {
     }
 
     /// SAD scores must stay within the documented query-side bound of the
-    /// decode-path scores over the same store, and within the widened
+    /// weighted L1 against the decoded rows, and within the widened
     /// two-sided bound of the exact scores.
     #[test]
     fn sad_scores_respect_both_error_bounds() {
@@ -853,10 +455,11 @@ mod tests {
             let sad = SadQuery::new(&weights, &query, store.params());
             let mut s_sad = vec![f64::NAN; store.len()];
             sad.score(&store, &mut s_sad);
-            let mut s_decode = vec![f64::NAN; store.len()];
-            weighted_l1_flat(&weights, &query, &store, &mut s_decode);
+            let s_decode: Vec<f64> = (0..store.len())
+                .map(|i| weighted_l1_row(&weights, &query, &store.decode_row(i)))
+                .collect();
             let mut s_exact = vec![f64::NAN; exact.len()];
-            weighted_l1_flat(&weights, &query, &exact, &mut s_exact);
+            filter_scan(&weights, &query, &exact, &mut s_exact);
             let query_bound = sad.score_error_bound() * (1.0 + 1e-9) + 1e-9;
             let store_bound: f64 = weights
                 .iter()
@@ -883,7 +486,7 @@ mod tests {
 
     /// Constant coordinates and out-of-grid query coordinates shift the
     /// SAD score by an exact constant: with the whole query on such
-    /// coordinates, SAD scores equal decode-path scores exactly (up to
+    /// coordinates, SAD scores equal the decoded rows' scores exactly (up to
     /// the in-grid rounding of the remaining coordinates).
     #[test]
     fn offset_terms_are_exact_for_constant_and_out_of_grid_coordinates() {
@@ -905,8 +508,8 @@ mod tests {
         }
     }
 
-    /// The batched/tiled SAD kernels must equal the single-query kernel
-    /// bit for bit (integer sums are associative, so this is exact).
+    /// The batched/tiled `u8` scans must equal the single-query scan bit
+    /// for bit (integer sums are associative, so this is exact).
     #[test]
     fn sad_batch_kernels_match_single_query_bitwise() {
         for dim in [1, 4, 7, 32] {
@@ -921,13 +524,17 @@ mod tests {
                         .map(|q| (0..dim).map(|i| ((q + i) % 5) as f64 * 0.77).collect())
                         .collect(),
                 );
+                let (w_shared, w_pq) = (
+                    QueryWeights::Shared(&shared),
+                    QueryWeights::PerQuery(&wrows),
+                );
                 let mut batch = vec![f64::NAN; qcount * store.len()];
-                weighted_sad_flat_batch(&shared, &queries, &store, &mut batch);
+                filter_scan_batch(w_shared, &queries, &store, &mut batch);
                 let mut batch_pq = vec![f64::NAN; qcount * store.len()];
-                weighted_sad_flat_batch_per_query(&wrows, &queries, &store, &mut batch_pq);
+                filter_scan_batch(w_pq, &queries, &store, &mut batch_pq);
                 let mut single = vec![f64::NAN; store.len()];
                 for q in 0..qcount {
-                    weighted_sad_flat(&shared, queries.row(q), &store, &mut single);
+                    filter_scan(&shared, queries.row(q), &store, &mut single);
                     for i in 0..store.len() {
                         assert_eq!(
                             batch[q * store.len() + i].to_bits(),
@@ -935,7 +542,7 @@ mod tests {
                             "shared: dim {dim}, batch {qcount}, query {q}, row {i}"
                         );
                     }
-                    weighted_sad_flat(wrows.row(q), queries.row(q), &store, &mut single);
+                    filter_scan(wrows.row(q), queries.row(q), &store, &mut single);
                     for i in 0..store.len() {
                         assert_eq!(
                             batch_pq[q * store.len() + i].to_bits(),
@@ -947,7 +554,7 @@ mod tests {
                 // The sequential range kernels reproduce their batch rows.
                 let (start, end) = (qcount / 3, qcount);
                 let mut tile = vec![f64::NAN; (end - start) * store.len()];
-                weighted_sad_flat_batch_range(&shared, &queries, start, end, &store, &mut tile);
+                filter_scan_range(w_shared, &queries, start, end, &store, &mut tile);
                 assert_eq!(
                     tile.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
                     batch[start * store.len()..end * store.len()]
@@ -957,9 +564,7 @@ mod tests {
                     "range shared: dim {dim}, {start}..{end}"
                 );
                 let mut tile = vec![f64::NAN; (end - start) * store.len()];
-                weighted_sad_flat_batch_per_query_range(
-                    &wrows, &queries, start, end, &store, &mut tile,
-                );
+                filter_scan_range(w_pq, &queries, start, end, &store, &mut tile);
                 assert_eq!(
                     tile.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
                     batch_pq[start * store.len()..end * store.len()]
@@ -972,12 +577,11 @@ mod tests {
         }
     }
 
-    /// The pair walk ([`weighted_sad_row_pair`] and the two-at-a-time row
-    /// loop it feeds) must equal the single-row kernel bit for bit — on
-    /// even and odd row counts, across the chunked (dim > SAD_CHUNK) and
-    /// single-chunk paths.
+    /// The scan must equal per-row scoring with `weighted_sad_row` bit for
+    /// bit — on even and odd row counts, across the chunked
+    /// (dim > SAD_CHUNK) and single-chunk paths.
     #[test]
-    fn sad_row_pair_is_bit_identical_to_single_rows() {
+    fn sad_scan_is_bit_identical_to_single_rows() {
         for dim in [
             1,
             2,
@@ -995,14 +599,6 @@ mod tests {
                 let weights: Vec<f64> = (0..dim).map(|i| 0.15 + (i % 6) as f64 * 0.4).collect();
                 let query: Vec<f64> = (0..dim).map(|i| (i as f64 * 0.9).sin() * 9.0).collect();
                 let sad = SadQuery::new(&weights, &query, store.params());
-                // The raw pair kernel against explicit single-row calls.
-                for pair in (0..rows).collect::<Vec<_>>().chunks_exact(2) {
-                    let (a, b) = (store.row(pair[0]), store.row(pair[1]));
-                    let (sum_a, sum_b) = weighted_sad_row_pair(sad.iweights(), sad.codes(), a, b);
-                    assert_eq!(sum_a, weighted_sad_row(sad.iweights(), sad.codes(), a));
-                    assert_eq!(sum_b, weighted_sad_row(sad.iweights(), sad.codes(), b));
-                }
-                // The full scan against per-row scoring.
                 let mut scan = vec![f64::NAN; rows];
                 sad.score(&store, &mut scan);
                 for (i, got) in scan.iter().enumerate() {
@@ -1049,8 +645,8 @@ mod tests {
         }
     }
 
-    /// The `u8` filter dispatch hooks route to the SAD kernels, and the
-    /// exact backends' hooks stay bit-identical to the decode kernels.
+    /// The `u8` filter scan runs the SAD kernel, and the exact backend's
+    /// scan stays bit-identical to the canonical row reduction.
     #[test]
     fn scan_filter_hooks_dispatch_per_backend() {
         let dim = 5;
@@ -1060,16 +656,17 @@ mod tests {
 
         let store = FlatStore::<u8>::from_rows_with_dim(dim, rows.clone());
         let mut via_hook = vec![f64::NAN; store.len()];
-        u8::scan_filter(&weights, &query, &store, &mut via_hook);
+        filter_scan(&weights, &query, &store, &mut via_hook);
         let mut via_sad = vec![f64::NAN; store.len()];
-        weighted_sad_flat(&weights, &query, &store, &mut via_sad);
+        SadQuery::new(&weights, &query, store.params()).score(&store, &mut via_sad);
         assert_eq!(via_hook, via_sad, "u8 hook must run the SAD kernel");
 
         let exact = FlatVectors::from_rows_with_dim(dim, rows);
         let mut via_hook = vec![f64::NAN; exact.len()];
-        f64::scan_filter(&weights, &query, &exact, &mut via_hook);
-        let mut via_l1 = vec![f64::NAN; exact.len()];
-        weighted_l1_flat(&weights, &query, &exact, &mut via_l1);
+        filter_scan(&weights, &query, &exact, &mut via_hook);
+        let via_l1: Vec<f64> = (0..exact.len())
+            .map(|i| weighted_l1_row(&weights, &query, exact.row(i)))
+            .collect();
         assert_eq!(
             via_hook.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
             via_l1.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
@@ -1101,10 +698,9 @@ mod tests {
         sad.score(&store, &mut out);
         assert_eq!(out, vec![0.0, 0.0]);
         // Empty batches score nothing, even through the parallel driver.
-        let batch = SadQueryBatch::new_shared(&[1.0], &FlatVectors::with_dim(1), store.params());
-        assert!(batch.is_empty());
+        let empty_batch = FlatVectors::with_dim(1);
         let mut out: Vec<f64> = Vec::new();
-        batch.score(&store, &mut out);
+        filter_scan_batch(QueryWeights::Shared(&[1.0]), &empty_batch, &store, &mut out);
         assert!(out.is_empty());
     }
 
@@ -1114,7 +710,14 @@ mod tests {
         let store = FlatStore::<u8>::from_rows_with_dim(1, vec![vec![1.0]]);
         let queries = FlatVectors::from_rows(vec![vec![0.0]]);
         let mut out = vec![0.0; 2];
-        weighted_sad_flat_batch_range(&[1.0], &queries, 0, 2, &store, &mut out);
+        filter_scan_range(
+            QueryWeights::Shared(&[1.0]),
+            &queries,
+            0,
+            2,
+            &store,
+            &mut out,
+        );
     }
 
     #[test]
@@ -1124,6 +727,24 @@ mod tests {
         let queries = FlatVectors::from_rows(vec![vec![0.0], vec![1.0]]);
         let weights = FlatVectors::from_rows(vec![vec![1.0]]);
         let mut out = vec![0.0; 2];
-        weighted_sad_flat_batch_per_query(&weights, &queries, &store, &mut out);
+        filter_scan_batch(QueryWeights::PerQuery(&weights), &queries, &store, &mut out);
+    }
+
+    /// A query batch of the wrong dimensionality is rejected in release
+    /// builds too, instead of scoring nothing.
+    #[test]
+    #[should_panic(expected = "query/store dimensionality mismatch")]
+    fn sad_tile_rejects_query_dim_mismatch() {
+        let store = FlatStore::<u8>::from_rows_with_dim(2, vec![vec![1.0, 2.0]]);
+        let queries = FlatVectors::from_rows(vec![vec![0.0]]);
+        let mut out = vec![0.0; 1];
+        filter_scan_range(
+            QueryWeights::Shared(&[1.0, 1.0]),
+            &queries,
+            0,
+            1,
+            &store,
+            &mut out,
+        );
     }
 }

@@ -1,7 +1,8 @@
 //! Vector-space distances: `Lp` norms, the (query-sensitive) weighted `L1`
-//! distance, the flat row-major vector store, and the blocked weighted-L1
-//! batch kernels that score one query — or a whole query batch — against
-//! every stored row.
+//! distance, the flat row-major vector store, and the **filter scan** —
+//! the one operation of the paper's filter step, scoring
+//! `D(q, x) = Σ_i w_i |q_i − x_i|` for one query, or a whole query batch,
+//! against every stored row.
 //!
 //! ## Pluggable filter-store precision
 //!
@@ -26,18 +27,11 @@
 //!   error by `Σ_j w_j · scale_j / 2` (asserted by the workspace tests).
 //!
 //! Queries and weights always stay `f64`; only the database side of the
-//! scan is compressed. The kernels decode one cache-sized block of rows at
-//! a time into a scratch buffer and then run the **same** canonical `f64`
-//! reduction over it, so the `f64` backend (whose "decode" is a zero-copy
-//! borrow of the stored block) remains bit-identical to the historical
-//! kernels, while the lossy backends amortize decoding across every query
-//! of a tile and halve (or quarter) the memory traffic the scan streams.
-//!
-//! Orthogonally to the element precision, the buffer those elements live
-//! in is pluggable too ([`crate::storage::Storage`]): heap-owned, or
-//! borrowed zero-copy out of an `mmap`ed snapshot file so serving starts
-//! without deserializing the store — see [`FlatStore`] and the
-//! `crate::storage` module docs.
+//! scan is compressed. Orthogonally to the element precision, the buffer
+//! those elements live in is pluggable too ([`crate::storage::Storage`]):
+//! heap-owned, or borrowed zero-copy out of an `mmap`ed snapshot file so
+//! serving starts without deserializing the store — see [`FlatStore`] and
+//! the `crate::storage` module docs.
 //!
 //! The paper compares the embeddings of two objects with an `L1` distance
 //! (original BoostMap, FastMap) or with the *query-sensitive weighted* `L1`
@@ -46,39 +40,56 @@
 //! query-sensitive weighting logic itself lives in `qse-core::model` because
 //! it needs the trained splitters.
 //!
+//! ## One scan surface
+//!
+//! Three validated entry points front every filter scan in the workspace:
+//! [`filter_scan`] (one query), [`filter_scan_range`] (one *sequential*
+//! tile of a query batch, for callers that orchestrate their own fan-out)
+//! and [`filter_scan_batch`] (a whole batch, tiles fanned out across the
+//! persistent worker pool). Batch weights are a [`QueryWeights`]: one row
+//! shared by every query, or one row per query (the query-sensitive
+//! `D_out`). The entries check every shape, settle the degenerate ones
+//! (empty range, empty store, dimensionality 0) and hand the rest to the
+//! store backend's [`FilterElem::scan_filter`] /
+//! [`FilterElem::scan_filter_range`] hooks, so each backend runs its own
+//! kernel:
+//!
+//! * **`f64` / `f32`** — the *decode path*: walk the store one
+//!   [`BLOCK_VALUES`]-value block at a time, decode it to `f64` (a
+//!   zero-copy borrow for `f64`) and reduce every row with the canonical
+//!   [`weighted_l1_row`]. Both the single-query body and the tile body are
+//!   compiled twice (baseline and AVX2) and picked by cached runtime
+//!   detection.
+//! * **`u8`** — the in-domain integer weighted-SAD kernel of
+//!   [`crate::sad`], which scores without decoding a single stored value.
+//!
 //! ## One canonical summation order
 //!
-//! Every weighted-L1 evaluation in the workspace — [`WeightedL1::eval`] on a
-//! pair of slices, [`WeightedL1::eval_flat`] over a [`FlatVectors`] store,
-//! the Q×N tiled [`WeightedL1::eval_flat_batch`] kernel, and
-//! `EmbeddedQuery::distance_to` in `qse-core` — reduces coordinates
-//! through the same blocked routine ([`weighted_l1_row`]): [`LANES`]-wide
-//! blocks feeding [`LANES`] independent accumulators, combined pairwise,
-//! then the sequential remainder. Floating-point addition is not
-//! associative, so sharing one order is what makes the batch kernels
-//! **bit-identical** to the row-by-row path (asserted by the workspace
+//! Every floating-point weighted-L1 evaluation in the workspace —
+//! [`WeightedL1::eval`] on a pair of slices, the decode-path scans, and
+//! `EmbeddedQuery::distance_to` in `qse-core` — reduces coordinates through
+//! [`weighted_l1_row`]: [`LANES`]-wide blocks feeding [`LANES`] independent
+//! accumulators, combined pairwise, then the sequential remainder.
+//! Floating-point addition is not associative, so sharing one order is what
+//! makes the scans **bit-identical** to the row-by-row path and the batch
+//! scans bit-identical to the single-query scan (asserted by the workspace
 //! property tests), while the independent accumulators give the optimizer
-//! license to auto-vectorize the hot filter scan.
+//! license to vectorize.
 //!
 //! ## The Q×N tile layout
 //!
 //! A batch of `Q` queries against `N` database rows is computed in
-//! two-level tiles: [`QUERY_TILE`] query rows × [`BLOCK_VALUES`]-value
-//! database blocks. The outer loop hands each query tile a pass over the
-//! database; within the tile, one L1-sized block of database rows is loaded
-//! once and scanned by every query of the tile before the next block streams
-//! in
-//! — so the block is served from L1 for all but the first query, and the
-//! database buffer as a whole streams through memory once per
-//! [`QUERY_TILE`] queries instead of once per query. The innermost loop
-//! over a `(query, block)` pair is the same contiguous
-//! `chunks_exact`/sequential-write scan as the single-query
-//! [`weighted_l1_flat`], so codegen quality is preserved. Scores land in a
-//! row-major `Q × N` output (`out[q * N + i]` is query `q` against row
-//! `i`), and query tiles write disjoint `out` ranges, which lets the
-//! kernel fan tiles out across the persistent worker pool without any
-//! thread-count-dependent reduction order — every score is produced by one
-//! [`weighted_l1_row`] call regardless of tiling or threading.
+//! two-level tiles: [`QUERY_TILE`] query rows × one cache-sized block of
+//! database rows. The parallel batch scan hands each query tile a pass over
+//! the database; within the tile, one block of rows is loaded once and
+//! scanned by every query of the tile before the next block streams in —
+//! so the database buffer streams through memory once per [`QUERY_TILE`]
+//! queries instead of once per query. On the decode path, pairs of queries
+//! additionally share every row load at the register level, each keeping
+//! its own canonical accumulators. Scores land in a row-major `Q × N`
+//! output (`out[q * N + i]` is query `q` against row `i`) and query tiles
+//! write disjoint `out` ranges, so fanning tiles out across the worker
+//! pool involves no thread-count-dependent reduction order.
 
 use crate::mmap::MapRegion;
 use crate::storage::{MappedSlice, Storage};
@@ -128,8 +139,8 @@ pub const LANES: usize = 4;
 /// (pairwise-combined at the end), the tail is added sequentially.
 ///
 /// This is the single scalar routine behind [`WeightedL1::eval`], the
-/// [`WeightedL1::eval_flat`] batch kernel and `EmbeddedQuery::distance_to`,
-/// so all of them agree bitwise.
+/// decode-path filter scans and `EmbeddedQuery::distance_to`, so all of
+/// them agree bitwise.
 ///
 /// The slices must share one length; full-length checking is left to the
 /// callers (debug builds assert).
@@ -165,10 +176,12 @@ pub fn weighted_l1_row(weights: &[f64], a: &[f64], b: &[f64]) -> f64 {
 /// `f32` (rounded to single precision) and `u8` (scalar-quantized on a
 /// per-coordinate affine grid, see [`QuantParams`] and the module docs).
 /// Implementations come in encode/decode pairs around per-store
-/// [`FilterElem::Params`] fitted at construction; the kernels decode one
-/// cache-sized block at a time into `f64` scratch and reduce it with the
-/// canonical [`weighted_l1_row`] order, so a backend only controls *what is
-/// stored*, never *how scores are summed*.
+/// [`FilterElem::Params`] fitted at construction, plus the two filter-scan
+/// hooks behind [`filter_scan`], [`filter_scan_range`] and
+/// [`filter_scan_batch`]. The default hooks are the decode path (decode
+/// one cache-sized block at a time into `f64` scratch and reduce it in the
+/// canonical [`weighted_l1_row`] order); `u8` overrides both with the
+/// integer SAD kernel of [`crate::sad`].
 pub trait FilterElem: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static {
     /// Per-store decode parameters: the quantization grid for `u8`,
     /// zero-sized for the exact backends.
@@ -192,38 +205,40 @@ pub trait FilterElem: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static
     /// candidates preserves the filter's effective selectivity.
     const DEFAULT_P_SCALE: f64 = 1.0;
 
-    /// Score `query` under `weights` against every row of `vectors`
-    /// through the backend's preferred **filter path**. Unlike
-    /// [`weighted_l1_flat`] — which pins "score the decoded rows" exactly
-    /// — this entry point may score *in the storage domain*: the default
-    /// is the decode-path kernel (bit-identical to [`weighted_l1_flat`]),
-    /// and `u8` overrides it with the integer weighted-SAD kernel of
-    /// [`crate::sad`], whose scores differ from the decode path by the
-    /// documented query-side quantization bound. The filter-and-refine
-    /// retrieval pipelines call this; refine's exact distances absorb the
-    /// difference.
+    /// The single-query hook behind [`filter_scan`]: score `query` under
+    /// `weights` against every row of `vectors` into `out`. The default is
+    /// the decode path, bit-identical to [`weighted_l1_row`] on every
+    /// decoded row; `u8` scores *in the storage domain* with the integer
+    /// SAD kernel of [`crate::sad`], whose scores differ from the decoded
+    /// rows' by the documented query-side quantization bound (refine's
+    /// exact distances absorb the difference).
     ///
-    /// # Panics
-    /// As [`weighted_l1_flat`] (dimensionality / output-length mismatch).
+    /// Called only through [`filter_scan`], which has already checked
+    /// every length and settled the degenerate shapes: the store holds
+    /// at least one row and `dim() > 0`.
     fn scan_filter(weights: &[f64], query: &[f64], vectors: &FlatStore<Self>, out: &mut [f64]) {
-        weighted_l1_flat(weights, query, vectors, out);
+        l1_flat_dispatch(weights, query, vectors, out);
     }
 
-    /// One *sequential* tile of the backend's filter path: score queries
-    /// `start..end` (`w_stride == 0` shares one weight row, `w_stride ==
-    /// dim` selects per-query rows) into a row-major `(end − start) × n`
-    /// tile — the hook the batched retrieval pipelines hand each worker.
-    /// Default: the decode-path range kernel; `u8`: the integer SAD tile.
+    /// The tile hook behind [`filter_scan_range`] and
+    /// [`filter_scan_batch`]: score queries `start..end` of `queries`
+    /// sequentially into a row-major `(end − start) × vectors.len()`
+    /// tile. Default: the decode-path tile kernel; `u8`: the integer SAD
+    /// tile. Scores equal [`Self::scan_filter`]'s for each query bit for
+    /// bit.
+    ///
+    /// Called only through those entries, which have already checked
+    /// every shape and settled the degenerate ones: the range and the
+    /// store are non-empty and `dim() > 0`.
     fn scan_filter_range(
-        weights: &[f64],
-        w_stride: usize,
+        weights: QueryWeights<'_>,
         queries: &FlatVectors,
         start: usize,
         end: usize,
         vectors: &FlatStore<Self>,
         out: &mut [f64],
     ) {
-        weighted_l1_score_query_range(weights, w_stride, queries, start, end, vectors, out);
+        l1_tile_range(weights, queries, start, end, vectors, out);
     }
 
     /// Stable one-byte identifier of this backend in the snapshot format
@@ -425,19 +440,18 @@ impl FilterElem for u8 {
     const DEFAULT_P_SCALE: f64 = 2.0;
 
     fn scan_filter(weights: &[f64], query: &[f64], vectors: &FlatStore<Self>, out: &mut [f64]) {
-        crate::sad::weighted_sad_flat(weights, query, vectors, out);
+        crate::sad::SadQuery::new(weights, query, vectors.params()).score(vectors, out);
     }
 
     fn scan_filter_range(
-        weights: &[f64],
-        w_stride: usize,
+        weights: QueryWeights<'_>,
         queries: &FlatVectors,
         start: usize,
         end: usize,
         vectors: &FlatStore<Self>,
         out: &mut [f64],
     ) {
-        crate::sad::sad_scan_range(weights, w_stride, queries, start, end, vectors, out);
+        crate::sad::sad_scan_range(weights, queries, start, end, vectors, out);
     }
 
     fn elems_to_bytes(elems: &[Self], out: &mut Vec<u8>) {
@@ -543,8 +557,8 @@ impl FilterElem for u8 {
 /// Embedded database vectors in flat row-major storage: row `i` occupies
 /// elements `i * dim .. (i + 1) * dim` of one contiguous buffer. Keeping
 /// all rows in a single run makes the filter scan cache-friendly and
-/// prefetchable, and lets the [`WeightedL1::eval_flat`] kernel walk the
-/// buffer without touching one heap allocation per row.
+/// prefetchable, and lets the filter scan walk the buffer without touching
+/// one heap allocation per row.
 ///
 /// The storage element `E` selects the filter-store precision (see
 /// [`FilterElem`] and the module docs); [`FlatVectors`] — `FlatStore<f64>`
@@ -827,22 +841,40 @@ impl<E: FilterElem> FlatStore<E> {
     }
 }
 
-/// The weighted-L1 batch kernel: score `query` against every row of
-/// `vectors`, writing `out[i] = Σ_j weights[j] · |query[j] − row_i[j]|`.
+/// The weights a batch of queries is scored under.
 ///
-/// This is the raw entry point used by `EmbeddedQuery` (whose per-query
-/// weights live outside a [`WeightedL1`] value); prefer
-/// [`WeightedL1::eval_flat`] when you have a distance object. The store is
-/// walked one [`BLOCK_VALUES`]-value block of rows at a time, decoded to
-/// `f64` per the store's [`FilterElem`] backend (a zero-copy borrow for
-/// `f64`), and each row reduced by [`weighted_l1_row`] — so for the exact
-/// backend every output is **bit-identical** to evaluating that row on its
-/// own, and for the lossy backends it equals scoring the decoded row.
+/// A global weighted `L1` (BoostMap, FastMap) scores every query under one
+/// [`QueryWeights::Shared`] row; the paper's query-sensitive `D_out`, whose
+/// weights `A_i(q)` depend on the query, scores query `q` under row `q` of
+/// a [`QueryWeights::PerQuery`] store.
+#[derive(Debug, Clone, Copy)]
+pub enum QueryWeights<'a> {
+    /// One weight row shared by every query.
+    Shared(&'a [f64]),
+    /// One weight row per query, aligned row for row with the queries.
+    PerQuery(&'a FlatVectors),
+}
+
+impl<'a> QueryWeights<'a> {
+    /// The weight row query `q` is scored under.
+    pub(crate) fn row(self, q: usize) -> &'a [f64] {
+        match self {
+            QueryWeights::Shared(w) => w,
+            QueryWeights::PerQuery(w) => w.row(q),
+        }
+    }
+}
+
+/// The single-query filter scan: score `query` under `weights` against
+/// every row of `vectors`, `out[i] = Σ_j weights[j] · |query[j] − row_i[j]|`,
+/// through the store backend's [`FilterElem::scan_filter`] — the decode
+/// path for `f64`/`f32` (bit-identical to [`weighted_l1_row`] on every
+/// row), the integer SAD kernel of [`crate::sad`] for `u8`.
 ///
 /// # Panics
 /// Panics if `weights`/`query` do not match the store's dimensionality or
 /// `out` does not have exactly one slot per row.
-pub fn weighted_l1_flat<E: FilterElem>(
+pub fn filter_scan<E: FilterElem>(
     weights: &[f64],
     query: &[f64],
     vectors: &FlatStore<E>,
@@ -852,17 +884,137 @@ pub fn weighted_l1_flat<E: FilterElem>(
     assert_eq!(weights.len(), dim, "weight/store dimensionality mismatch");
     assert_eq!(query.len(), dim, "query/store dimensionality mismatch");
     assert_eq!(out.len(), vectors.len(), "one output slot per row required");
+    if vectors.is_empty() {
+        return;
+    }
     if dim == 0 {
         // Zero-dimensional rows: every distance is the empty sum.
         out.fill(0.0);
         return;
     }
-    l1_flat_dispatch(weights, query, vectors, out);
+    E::scan_filter(weights, query, vectors, out);
 }
 
-/// The single-query block-decode scan body behind [`weighted_l1_flat`]:
-/// decode one cache-sized block, reduce every row with the canonical
-/// [`weighted_l1_row`] order.
+/// One *sequential* tile of a batched filter scan: score queries
+/// `start..end` of `queries` against every row of `vectors` on the calling
+/// thread, writing the row-major `(end − start) × vectors.len()` tile into
+/// `out` (`out[(q − start) · n + i]` is query `q` against row `i`).
+///
+/// This is the entry for callers that orchestrate their own tile fan-out
+/// — the batched retrieval pipelines hand each worker one
+/// [`QUERY_TILE`]-sized range so the scores land in a small tile-local
+/// buffer consumed while still cache-hot. Every score is bit-identical to
+/// [`filter_scan`] of that query under its weight row.
+///
+/// # Panics
+/// Panics on a dimensionality mismatch, a [`QueryWeights::PerQuery`]
+/// store without exactly one row per query, an out-of-bounds query range,
+/// or `out.len() != (end − start) · vectors.len()`.
+pub fn filter_scan_range<E: FilterElem>(
+    weights: QueryWeights<'_>,
+    queries: &FlatVectors,
+    start: usize,
+    end: usize,
+    vectors: &FlatStore<E>,
+    out: &mut [f64],
+) {
+    check_tile(weights, queries, start, end, vectors, out.len());
+    scan_tile(weights, queries, start, end, vectors, out);
+}
+
+/// The Q×N batched filter scan: score every row of `queries` against every
+/// row of `vectors` into the row-major `out[q · vectors.len() + i]`.
+///
+/// Queries are cut into [`QUERY_TILE`]-row tiles that run in parallel on
+/// the persistent worker pool, each through the same backend tile as
+/// [`filter_scan_range`]; tiles write disjoint `out` ranges, so the result
+/// is bit-identical to per-query [`filter_scan`] at any thread count.
+///
+/// # Panics
+/// As [`filter_scan_range`] over the whole batch.
+pub fn filter_scan_batch<E: FilterElem>(
+    weights: QueryWeights<'_>,
+    queries: &FlatVectors,
+    vectors: &FlatStore<E>,
+    out: &mut [f64],
+) {
+    check_tile(weights, queries, 0, queries.len(), vectors, out.len());
+    let n = vectors.len();
+    if n == 0 {
+        return;
+    }
+    out.par_chunks_mut(QUERY_TILE * n)
+        .enumerate()
+        .for_each(|(tile, tile_out)| {
+            let q0 = tile * QUERY_TILE;
+            scan_tile(
+                weights,
+                queries,
+                q0,
+                q0 + tile_out.len() / n,
+                vectors,
+                tile_out,
+            );
+        });
+}
+
+/// The shape contract of [`filter_scan_range`] and [`filter_scan_batch`],
+/// checked in release builds too: the backend tiles index by these shapes.
+fn check_tile<E: FilterElem>(
+    weights: QueryWeights<'_>,
+    queries: &FlatVectors,
+    start: usize,
+    end: usize,
+    vectors: &FlatStore<E>,
+    out_len: usize,
+) {
+    let dim = vectors.dim();
+    match weights {
+        QueryWeights::Shared(w) => {
+            assert_eq!(w.len(), dim, "weight/store dimensionality mismatch");
+        }
+        QueryWeights::PerQuery(w) => {
+            assert_eq!(w.dim(), dim, "weight/store dimensionality mismatch");
+            assert_eq!(w.len(), queries.len(), "one weight row per query required");
+        }
+    }
+    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
+    assert!(
+        start <= end && end <= queries.len(),
+        "query range {start}..{end} out of bounds for {} queries",
+        queries.len()
+    );
+    assert_eq!(
+        out_len,
+        (end - start) * vectors.len(),
+        "one output slot per (query, row) pair required"
+    );
+}
+
+/// Score one checked tile: settle the degenerate shapes, hand the rest to
+/// the backend's [`FilterElem::scan_filter_range`].
+fn scan_tile<E: FilterElem>(
+    weights: QueryWeights<'_>,
+    queries: &FlatVectors,
+    start: usize,
+    end: usize,
+    vectors: &FlatStore<E>,
+    out: &mut [f64],
+) {
+    if start == end || vectors.is_empty() {
+        // Nothing to score: `out` is empty by the length contract.
+        return;
+    }
+    if vectors.dim() == 0 {
+        // Zero-dimensional rows: every distance is the empty sum.
+        out.fill(0.0);
+        return;
+    }
+    E::scan_filter_range(weights, queries, start, end, vectors, out);
+}
+
+/// The decode-path single-query scan body: decode one cache-sized block,
+/// reduce every row with the canonical [`weighted_l1_row`] order.
 ///
 /// `#[inline(always)]` is load-bearing, not a hint (same mechanism as
 /// the SAD scan in [`crate::sad`]): the `target_feature` wrapper below
@@ -936,8 +1088,8 @@ fn l1_flat_dispatch<E: FilterElem>(
     l1_flat_body(weights, query, vectors, out);
 }
 
-/// Number of query rows per tile of the Q×N batch kernels
-/// ([`weighted_l1_flat_batch`] and friends).
+/// Number of query rows per tile of the Q×N batched filter scan
+/// ([`filter_scan_batch`]).
 ///
 /// One tile holds `QUERY_TILE · dim` query coordinates plus (on the
 /// query-sensitive path) as many weight values — a few kilobytes at the
@@ -1119,393 +1271,25 @@ fn weighted_l1_score_tile_body<E: FilterElem>(
     }
 }
 
-/// Score queries `start..end` sequentially against every row of `vectors`
-/// (degenerate shapes — empty range, empty store, dim 0 — included),
-/// writing a row-major `(end − start) × n` tile into `out`. The common
-/// slicing/edge-case routine behind both the parallel full-batch driver and
-/// the public `*_range` single-tile entry points.
-fn weighted_l1_score_query_range<E: FilterElem>(
-    weights: &[f64],
-    w_stride: usize,
+/// The decode-path tile behind the default [`FilterElem::scan_filter_range`]:
+/// slice the tile's query rows and weight rows out of the batch (a shared
+/// weight row has stride 0, per-query rows stride `dim`) and score them
+/// with [`weighted_l1_score_tile`].
+fn l1_tile_range<E: FilterElem>(
+    weights: QueryWeights<'_>,
     queries: &FlatVectors,
     start: usize,
     end: usize,
     vectors: &FlatStore<E>,
     out: &mut [f64],
 ) {
-    let n = vectors.len();
     let dim = vectors.dim();
-    let qcount = end - start;
-    debug_assert_eq!(out.len(), qcount * n);
-    if qcount == 0 || n == 0 {
-        // Nothing to score: `out` is empty by the length contract.
-        return;
-    }
-    if dim == 0 {
-        // Zero-dimensional rows: every distance is the empty sum.
-        out.fill(0.0);
-        return;
-    }
-    let q_rows = &queries.as_slice()[start * dim..end * dim];
-    let w_rows = if w_stride == 0 {
-        weights
-    } else {
-        &weights[start * w_stride..end * w_stride]
+    let (w_rows, w_stride) = match weights {
+        QueryWeights::Shared(w) => (w, 0),
+        QueryWeights::PerQuery(w) => (&w.as_slice()[start * dim..end * dim], dim),
     };
-    weighted_l1_score_tile(w_rows, w_stride, q_rows, qcount, dim, vectors, out);
-}
-
-/// Shared driver of the Q×N batch kernels: partition the queries into
-/// [`QUERY_TILE`]-row tiles and score each tile with
-/// [`weighted_l1_score_tile`], fanning tiles out across the persistent
-/// worker pool (each tile writes a disjoint contiguous range of `out`, so
-/// the result is independent of the thread count).
-fn weighted_l1_batch_tiled<E: FilterElem>(
-    weights: &[f64],
-    w_stride: usize,
-    queries: &FlatVectors,
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let n = vectors.len();
-    debug_assert_eq!(out.len(), queries.len() * n);
-    if queries.is_empty() || n == 0 || vectors.dim() == 0 {
-        return weighted_l1_score_query_range(
-            weights,
-            w_stride,
-            queries,
-            0,
-            queries.len(),
-            vectors,
-            out,
-        );
-    }
-    out.par_chunks_mut(QUERY_TILE * n)
-        .enumerate()
-        .for_each(|(tile, tile_out)| {
-            let q0 = tile * QUERY_TILE;
-            let qcount = tile_out.len() / n;
-            weighted_l1_score_query_range(
-                weights,
-                w_stride,
-                queries,
-                q0,
-                q0 + qcount,
-                vectors,
-                tile_out,
-            );
-        });
-}
-
-/// The Q×N batch kernel with one *shared* weight vector: score every row of
-/// `queries` against every row of `vectors`, writing the row-major tile
-/// `out[q * vectors.len() + i] = Σ_j weights[j] · |queries_q[j] − row_i[j]|`.
-///
-/// Queries are processed in [`QUERY_TILE`]-row tiles (see the module docs
-/// for the layout) that run in parallel on the persistent worker pool; each
-/// score is produced by the canonical [`weighted_l1_row`] reduction, so
-/// every output is **bit-identical** to the per-query
-/// [`weighted_l1_flat`] scan — and therefore to the scalar path — at any
-/// thread count.
-///
-/// # Panics
-/// Panics if `weights` or `queries` do not match the store's
-/// dimensionality, or `out.len() != queries.len() * vectors.len()`.
-pub fn weighted_l1_flat_batch<E: FilterElem>(
-    weights: &[f64],
-    queries: &FlatVectors,
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.len(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert_eq!(
-        out.len(),
-        queries.len() * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    weighted_l1_batch_tiled(weights, 0, queries, vectors, out);
-}
-
-/// The Q×N batch kernel with *per-query* weight rows: like
-/// [`weighted_l1_flat_batch`], but query `q` is scored under
-/// `weights.row(q)` instead of one shared weight vector. This is the batched
-/// form of the paper's query-sensitive `D_out`, whose weights `A_i(q)`
-/// depend on the query; `EmbeddedQueryBatch::score_flat_batch` in `qse-core`
-/// is its caller.
-///
-/// # Panics
-/// Panics if the weight store does not hold exactly one row per query, if
-/// any dimensionality disagrees with `vectors`, or if
-/// `out.len() != queries.len() * vectors.len()`.
-pub fn weighted_l1_flat_batch_per_query<E: FilterElem>(
-    weights: &FlatVectors,
-    queries: &FlatVectors,
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.dim(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert_eq!(
-        weights.len(),
-        queries.len(),
-        "one weight row per query required"
-    );
-    assert_eq!(
-        out.len(),
-        queries.len() * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    weighted_l1_batch_tiled(weights.as_slice(), dim, queries, vectors, out);
-}
-
-/// One *sequential* tile of [`weighted_l1_flat_batch`]: score only queries
-/// `start..end` of `queries` (shared weights), writing the row-major
-/// `(end − start) × vectors.len()` tile into `out` on the calling thread.
-///
-/// This is the entry point for callers that orchestrate their own tile
-/// fan-out — the batched retrieval pipelines hand each worker one
-/// [`QUERY_TILE`]-sized range so the scores land in a small tile-local
-/// buffer that is consumed while still cache-hot, without re-entering the
-/// parallel driver or copying query rows. Outputs are bit-identical to the
-/// corresponding rows of the full batch kernel.
-///
-/// # Panics
-/// Panics on dimensionality mismatch, an out-of-bounds query range, or
-/// `out.len() != (end - start) * vectors.len()`.
-pub fn weighted_l1_flat_batch_range<E: FilterElem>(
-    weights: &[f64],
-    queries: &FlatVectors,
-    start: usize,
-    end: usize,
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.len(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert!(
-        start <= end && end <= queries.len(),
-        "query range {start}..{end} out of bounds for {} queries",
-        queries.len()
-    );
-    assert_eq!(
-        out.len(),
-        (end - start) * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    weighted_l1_score_query_range(weights, 0, queries, start, end, vectors, out);
-}
-
-/// One *sequential* tile of [`weighted_l1_flat_batch_per_query`]: like
-/// [`weighted_l1_flat_batch_range`] but query `q` is scored under
-/// `weights.row(q)` (the batched query-sensitive `D_out`).
-///
-/// # Panics
-/// As [`weighted_l1_flat_batch_range`], plus if the weight store does not
-/// hold exactly one row per query.
-pub fn weighted_l1_flat_batch_per_query_range<E: FilterElem>(
-    weights: &FlatVectors,
-    queries: &FlatVectors,
-    start: usize,
-    end: usize,
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.dim(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert_eq!(
-        weights.len(),
-        queries.len(),
-        "one weight row per query required"
-    );
-    assert!(
-        start <= end && end <= queries.len(),
-        "query range {start}..{end} out of bounds for {} queries",
-        queries.len()
-    );
-    assert_eq!(
-        out.len(),
-        (end - start) * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    weighted_l1_score_query_range(weights.as_slice(), dim, queries, start, end, vectors, out);
-}
-
-/// The single-query **filter-path** scan: like [`weighted_l1_flat`] but
-/// dispatched through [`FilterElem::scan_filter`], so each backend runs its
-/// fastest sound kernel — the decode path for `f64`/`f32` (bit-identical to
-/// [`weighted_l1_flat`]) and the in-domain integer SAD kernel of
-/// [`crate::sad`] for `u8` (scores within the documented query-side
-/// quantization bound of the decode path). This is the entry point the
-/// filter-and-refine retrieval pipelines use.
-///
-/// # Panics
-/// As [`weighted_l1_flat`].
-pub fn weighted_l1_filter_flat<E: FilterElem>(
-    weights: &[f64],
-    query: &[f64],
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.len(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(query.len(), dim, "query/store dimensionality mismatch");
-    assert_eq!(out.len(), vectors.len(), "one output slot per row required");
-    E::scan_filter(weights, query, vectors, out);
-}
-
-/// Shared driver of the Q×N **filter-path** batch kernels: the same tile
-/// fan-out as [`weighted_l1_batch_tiled`], with each tile scored through
-/// [`FilterElem::scan_filter_range`] so the backend picks its kernel.
-fn weighted_l1_filter_batch_tiled<E: FilterElem>(
-    weights: &[f64],
-    w_stride: usize,
-    queries: &FlatVectors,
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let n = vectors.len();
-    debug_assert_eq!(out.len(), queries.len() * n);
-    if queries.is_empty() || n == 0 || vectors.dim() == 0 {
-        return E::scan_filter_range(weights, w_stride, queries, 0, queries.len(), vectors, out);
-    }
-    out.par_chunks_mut(QUERY_TILE * n)
-        .enumerate()
-        .for_each(|(tile, tile_out)| {
-            let q0 = tile * QUERY_TILE;
-            let qcount = tile_out.len() / n;
-            E::scan_filter_range(
-                weights,
-                w_stride,
-                queries,
-                q0,
-                q0 + qcount,
-                vectors,
-                tile_out,
-            );
-        });
-}
-
-/// The Q×N **filter-path** batch kernel with one shared weight vector:
-/// like [`weighted_l1_flat_batch`] but dispatched per backend (see
-/// [`weighted_l1_filter_flat`]); bit-identical to it on the exact
-/// backends, the tiled integer SAD kernel on `u8`.
-///
-/// # Panics
-/// As [`weighted_l1_flat_batch`].
-pub fn weighted_l1_filter_batch<E: FilterElem>(
-    weights: &[f64],
-    queries: &FlatVectors,
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.len(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert_eq!(
-        out.len(),
-        queries.len() * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    weighted_l1_filter_batch_tiled(weights, 0, queries, vectors, out);
-}
-
-/// The Q×N **filter-path** batch kernel with per-query weight rows: like
-/// [`weighted_l1_flat_batch_per_query`] but dispatched per backend (see
-/// [`weighted_l1_filter_flat`]).
-///
-/// # Panics
-/// As [`weighted_l1_flat_batch_per_query`].
-pub fn weighted_l1_filter_batch_per_query<E: FilterElem>(
-    weights: &FlatVectors,
-    queries: &FlatVectors,
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.dim(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert_eq!(
-        weights.len(),
-        queries.len(),
-        "one weight row per query required"
-    );
-    assert_eq!(
-        out.len(),
-        queries.len() * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    weighted_l1_filter_batch_tiled(weights.as_slice(), dim, queries, vectors, out);
-}
-
-/// One *sequential* tile of [`weighted_l1_filter_batch`] (shared
-/// weights), dispatched through [`FilterElem::scan_filter_range`] — the
-/// filter-path counterpart of [`weighted_l1_flat_batch_range`] for
-/// callers that orchestrate their own tile fan-out.
-///
-/// # Panics
-/// As [`weighted_l1_flat_batch_range`].
-pub fn weighted_l1_filter_batch_range<E: FilterElem>(
-    weights: &[f64],
-    queries: &FlatVectors,
-    start: usize,
-    end: usize,
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.len(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert!(
-        start <= end && end <= queries.len(),
-        "query range {start}..{end} out of bounds for {} queries",
-        queries.len()
-    );
-    assert_eq!(
-        out.len(),
-        (end - start) * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    E::scan_filter_range(weights, 0, queries, start, end, vectors, out);
-}
-
-/// One *sequential* tile of [`weighted_l1_filter_batch_per_query`]
-/// (per-query weight rows), dispatched through
-/// [`FilterElem::scan_filter_range`].
-///
-/// # Panics
-/// As [`weighted_l1_flat_batch_per_query_range`].
-pub fn weighted_l1_filter_batch_per_query_range<E: FilterElem>(
-    weights: &FlatVectors,
-    queries: &FlatVectors,
-    start: usize,
-    end: usize,
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.dim(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert_eq!(
-        weights.len(),
-        queries.len(),
-        "one weight row per query required"
-    );
-    assert!(
-        start <= end && end <= queries.len(),
-        "query range {start}..{end} out of bounds for {} queries",
-        queries.len()
-    );
-    assert_eq!(
-        out.len(),
-        (end - start) * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    E::scan_filter_range(weights.as_slice(), dim, queries, start, end, vectors, out);
+    let q_rows = &queries.as_slice()[start * dim..end * dim];
+    weighted_l1_score_tile(w_rows, w_stride, q_rows, end - start, dim, vectors, out);
 }
 
 /// The `Lp` distance between two equal-length vectors.
@@ -1637,7 +1421,7 @@ impl WeightedL1 {
 
     /// Evaluate `Σ_i w_i |a_i − b_i|` (in the canonical blocked order of
     /// [`weighted_l1_row`], so the result is bit-identical to what
-    /// [`Self::eval_flat`] writes for the same row).
+    /// [`Self::eval_filter`] writes for the same row of an `f64` store).
     ///
     /// # Panics
     /// Panics if the vectors do not match the weight dimensionality.
@@ -1655,105 +1439,47 @@ impl WeightedL1 {
         weighted_l1_row(&self.weights, a, b)
     }
 
-    /// Score `query` against every row of `vectors` in one pass over the
-    /// contiguous buffer: `out[i] = Σ_j w_j |query_j − row_i_j|`.
-    ///
-    /// This is the filter step's hot kernel, generic over the store's
-    /// [`FilterElem`] precision. It walks the flat storage block by block
-    /// (decoding lossy backends to `f64` scratch, borrowing `f64` storage
-    /// zero-copy) and reduces coordinates in [`LANES`]-wide blocks with
-    /// independent accumulators (see [`weighted_l1_row`]), so for the exact
-    /// backend each `out[i]` is **bit-identical** to
-    /// `self.eval(query, vectors.row(i))` while the scan auto-vectorizes,
-    /// and for lossy backends it equals scoring the decoded row.
+    /// Score `query` against every row of `vectors`:
+    /// `out[i] = Σ_j w_j |query_j − row_i_j|` — the filter step's hot scan
+    /// ([`filter_scan`]). On the `f64`/`f32` backends each `out[i]` is
+    /// **bit-identical** to `self.eval(query, row)` on the decoded row; on
+    /// `u8` it is the integer SAD score of [`crate::sad`], within the
+    /// documented query-side quantization bound.
     ///
     /// # Panics
     /// Panics if `query` or the store do not match the weight dimensionality,
     /// or if `out.len() != vectors.len()`.
-    pub fn eval_flat<E: FilterElem>(&self, query: &[f64], vectors: &FlatStore<E>, out: &mut [f64]) {
-        weighted_l1_flat(&self.weights, query, vectors, out)
-    }
-
-    /// Score a whole query batch against every row of `vectors` in
-    /// [`QUERY_TILE`]-row tiles: `out[q * vectors.len() + i] =
-    /// Σ_j w_j |queries_q_j − row_i_j|`, row-major Q×N.
-    ///
-    /// This is the batched filter step's hot kernel. A tile of query rows
-    /// stays cache-resident while the database buffer streams through once
-    /// per tile (instead of once per query), and tiles run in parallel on
-    /// the persistent worker pool. Each `out[q * n + i]` is **bit-identical**
-    /// to `self.eval(queries.row(q), vectors.row(i))` — and to what
-    /// [`Self::eval_flat`] writes for query `q` — at any thread count.
-    ///
-    /// # Panics
-    /// Panics if `queries` or the store do not match the weight
-    /// dimensionality, or if `out.len() != queries.len() * vectors.len()`.
-    pub fn eval_flat_batch<E: FilterElem>(
-        &self,
-        queries: &FlatVectors,
-        vectors: &FlatStore<E>,
-        out: &mut [f64],
-    ) {
-        weighted_l1_flat_batch(&self.weights, queries, vectors, out)
-    }
-
-    /// One *sequential* tile of [`Self::eval_flat_batch`]: score only
-    /// queries `start..end` on the calling thread, writing the row-major
-    /// `(end − start) × vectors.len()` tile into `out`. For callers that
-    /// orchestrate their own tile fan-out (the batched retrieval
-    /// pipelines); bit-identical to the corresponding rows of the full
-    /// batch.
-    ///
-    /// # Panics
-    /// As [`weighted_l1_flat_batch_range`].
-    pub fn eval_flat_batch_range<E: FilterElem>(
-        &self,
-        queries: &FlatVectors,
-        start: usize,
-        end: usize,
-        vectors: &FlatStore<E>,
-        out: &mut [f64],
-    ) {
-        weighted_l1_flat_batch_range(&self.weights, queries, start, end, vectors, out)
-    }
-
-    /// The **filter-path** counterpart of [`Self::eval_flat`]: dispatched
-    /// through [`FilterElem::scan_filter`], so exact backends run the
-    /// decode kernel bit-identically while `u8` runs the in-domain
-    /// integer SAD kernel of [`crate::sad`] (scores within the documented
-    /// query-side quantization bound). The retrieval pipelines score
-    /// their filter step through this.
-    ///
-    /// # Panics
-    /// As [`Self::eval_flat`].
     pub fn eval_filter<E: FilterElem>(
         &self,
         query: &[f64],
         vectors: &FlatStore<E>,
         out: &mut [f64],
     ) {
-        weighted_l1_filter_flat(&self.weights, query, vectors, out)
+        filter_scan(&self.weights, query, vectors, out)
     }
 
-    /// The **filter-path** counterpart of [`Self::eval_flat_batch`]
-    /// (backend-dispatched tiled scan, see [`Self::eval_filter`]).
+    /// Score a whole query batch against every row of `vectors`, row-major
+    /// Q×N ([`filter_scan_batch`] under these shared weights): tiles of
+    /// [`QUERY_TILE`] queries run in parallel on the persistent worker
+    /// pool, and each `out[q * n + i]` is **bit-identical** to what
+    /// [`Self::eval_filter`] writes for query `q`, at any thread count.
     ///
     /// # Panics
-    /// As [`Self::eval_flat_batch`].
+    /// As [`filter_scan_batch`].
     pub fn eval_filter_batch<E: FilterElem>(
         &self,
         queries: &FlatVectors,
         vectors: &FlatStore<E>,
         out: &mut [f64],
     ) {
-        weighted_l1_filter_batch(&self.weights, queries, vectors, out)
+        filter_scan_batch(QueryWeights::Shared(&self.weights), queries, vectors, out)
     }
 
-    /// The **filter-path** counterpart of [`Self::eval_flat_batch_range`]
-    /// (backend-dispatched sequential tile, see [`Self::eval_filter`]).
+    /// One *sequential* tile of [`Self::eval_filter_batch`]: queries
+    /// `start..end` only, on the calling thread ([`filter_scan_range`]).
     ///
     /// # Panics
-    /// As [`Self::eval_flat_batch_range`].
+    /// As [`filter_scan_range`].
     pub fn eval_filter_batch_range<E: FilterElem>(
         &self,
         queries: &FlatVectors,
@@ -1762,7 +1488,8 @@ impl WeightedL1 {
         vectors: &FlatStore<E>,
         out: &mut [f64],
     ) {
-        weighted_l1_filter_batch_range(&self.weights, queries, start, end, vectors, out)
+        let weights = QueryWeights::Shared(&self.weights);
+        filter_scan_range(weights, queries, start, end, vectors, out)
     }
 }
 
@@ -1927,7 +1654,7 @@ mod tests {
             let d = WeightedL1::new(weights);
             let fv = FlatVectors::from_rows_with_dim(dim, rows);
             let mut out = vec![f64::NAN; fv.len()];
-            d.eval_flat(&query, &fv, &mut out);
+            d.eval_filter(&query, &fv, &mut out);
             for (i, score) in out.iter().enumerate() {
                 assert_eq!(
                     score.to_bits(),
@@ -1943,7 +1670,7 @@ mod tests {
         let d = WeightedL1::uniform(3);
         let fv = FlatVectors::with_dim(3);
         let mut out: Vec<f64> = Vec::new();
-        d.eval_flat(&[1.0, 2.0, 3.0], &fv, &mut out);
+        d.eval_filter(&[1.0, 2.0, 3.0], &fv, &mut out);
         assert!(out.is_empty());
         assert!(fv.is_empty());
         assert_eq!(fv.iter_rows().count(), 0);
@@ -1959,12 +1686,12 @@ mod tests {
         fv.push(&[]);
         assert_eq!(fv.len(), 3);
         let mut out = vec![f64::NAN; 3];
-        d.eval_flat(&[], &fv, &mut out);
+        d.eval_filter(&[], &fv, &mut out);
         assert_eq!(out, vec![0.0, 0.0, 0.0]);
         fv.swap_remove(1);
         assert_eq!(fv.len(), 2);
         let mut out = vec![f64::NAN; 2];
-        d.eval_flat(&[], &fv, &mut out);
+        d.eval_filter(&[], &fv, &mut out);
         assert_eq!(out, vec![0.0, 0.0]);
     }
 
@@ -1992,7 +1719,7 @@ mod tests {
         let d = WeightedL1::uniform(2);
         let fv = FlatVectors::from_rows(vec![vec![0.0, 0.0]]);
         let mut out = vec![0.0; 2];
-        d.eval_flat(&[0.0, 0.0], &fv, &mut out);
+        d.eval_filter(&[0.0, 0.0], &fv, &mut out);
     }
 
     /// Deterministic pseudo-random store for the batch-kernel tests.
@@ -2022,7 +1749,7 @@ mod tests {
             let queries = synthetic_store(dim, 5, 0.75);
             // Single-query scan: dispatch vs baseline body.
             let mut dispatched = vec![f64::NAN; rows];
-            weighted_l1_flat(&weights, queries.row(0), store, &mut dispatched);
+            l1_flat_dispatch(&weights, queries.row(0), store, &mut dispatched);
             let mut scalar = vec![f64::NAN; rows];
             l1_flat_body(&weights, queries.row(0), store, &mut scalar);
             for (i, (d, s)) in dispatched.iter().zip(&scalar).enumerate() {
@@ -2088,10 +1815,10 @@ mod tests {
                 let queries = synthetic_store(dim, qcount, 0.25);
                 let store = synthetic_store(dim, 21, 7.5);
                 let mut batch = vec![f64::NAN; qcount * store.len()];
-                d.eval_flat_batch(&queries, &store, &mut batch);
+                d.eval_filter_batch(&queries, &store, &mut batch);
                 let mut single = vec![f64::NAN; store.len()];
                 for q in 0..qcount {
-                    d.eval_flat(queries.row(q), &store, &mut single);
+                    d.eval_filter(queries.row(q), &store, &mut single);
                     for (i, score) in single.iter().enumerate() {
                         assert_eq!(
                             batch[q * store.len() + i].to_bits(),
@@ -2118,10 +1845,15 @@ mod tests {
             );
             let store = synthetic_store(dim, 30, 3.0);
             let mut batch = vec![f64::NAN; qcount * store.len()];
-            weighted_l1_flat_batch_per_query(&weights, &queries, &store, &mut batch);
+            filter_scan_batch(
+                QueryWeights::PerQuery(&weights),
+                &queries,
+                &store,
+                &mut batch,
+            );
             let mut single = vec![f64::NAN; store.len()];
             for q in 0..qcount {
-                weighted_l1_flat(weights.row(q), queries.row(q), &store, &mut single);
+                filter_scan(weights.row(q), queries.row(q), &store, &mut single);
                 for (i, score) in single.iter().enumerate() {
                     assert_eq!(
                         batch[q * store.len() + i].to_bits(),
@@ -2143,13 +1875,17 @@ mod tests {
         let store = synthetic_store(dim, 41, 9.0);
         let shared: Vec<f64> = (0..dim).map(|i| 0.2 + i as f64 * 0.3).collect();
         let per_query = synthetic_store(dim, qcount, 4.25);
+        let (shared, per_query) = (
+            QueryWeights::Shared(&shared),
+            QueryWeights::PerQuery(&per_query),
+        );
         let mut full_shared = vec![f64::NAN; qcount * store.len()];
-        weighted_l1_flat_batch(&shared, &queries, &store, &mut full_shared);
+        filter_scan_batch(shared, &queries, &store, &mut full_shared);
         let mut full_pq = vec![f64::NAN; qcount * store.len()];
-        weighted_l1_flat_batch_per_query(&per_query, &queries, &store, &mut full_pq);
+        filter_scan_batch(per_query, &queries, &store, &mut full_pq);
         for (start, end) in [(0, 0), (0, 3), (7, QUERY_TILE + 5), (qcount - 1, qcount)] {
             let mut tile = vec![f64::NAN; (end - start) * store.len()];
-            weighted_l1_flat_batch_range(&shared, &queries, start, end, &store, &mut tile);
+            filter_scan_range(shared, &queries, start, end, &store, &mut tile);
             assert_eq!(
                 tile.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
                 full_shared[start * store.len()..end * store.len()]
@@ -2159,9 +1895,7 @@ mod tests {
                 "shared weights, range {start}..{end}"
             );
             let mut tile = vec![f64::NAN; (end - start) * store.len()];
-            weighted_l1_flat_batch_per_query_range(
-                &per_query, &queries, start, end, &store, &mut tile,
-            );
+            filter_scan_range(per_query, &queries, start, end, &store, &mut tile);
             assert_eq!(
                 tile.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
                 full_pq[start * store.len()..end * store.len()]
@@ -2179,7 +1913,14 @@ mod tests {
         let queries = FlatVectors::from_rows(vec![vec![0.0]]);
         let store = FlatVectors::from_rows(vec![vec![1.0]]);
         let mut out = vec![0.0; 2];
-        weighted_l1_flat_batch_range(&[1.0], &queries, 0, 2, &store, &mut out);
+        filter_scan_range(
+            QueryWeights::Shared(&[1.0]),
+            &queries,
+            0,
+            2,
+            &store,
+            &mut out,
+        );
     }
 
     #[test]
@@ -2188,7 +1929,7 @@ mod tests {
         let queries = FlatVectors::with_dim(3);
         let store = FlatVectors::from_rows(vec![vec![1.0, 2.0, 3.0]]);
         let mut out: Vec<f64> = Vec::new();
-        d.eval_flat_batch(&queries, &store, &mut out);
+        d.eval_filter_batch(&queries, &store, &mut out);
         assert!(out.is_empty());
     }
 
@@ -2198,7 +1939,7 @@ mod tests {
         let queries = FlatVectors::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
         let store = FlatVectors::with_dim(2);
         let mut out: Vec<f64> = Vec::new();
-        d.eval_flat_batch(&queries, &store, &mut out);
+        d.eval_filter_batch(&queries, &store, &mut out);
         assert!(out.is_empty());
     }
 
@@ -2216,7 +1957,7 @@ mod tests {
             store.push(&[]);
         }
         let mut out = vec![f64::NAN; queries.len() * store.len()];
-        d.eval_flat_batch(&queries, &store, &mut out);
+        d.eval_filter_batch(&queries, &store, &mut out);
         assert!(out.iter().all(|s| *s == 0.0));
     }
 
@@ -2227,7 +1968,7 @@ mod tests {
         let queries = FlatVectors::from_rows(vec![vec![0.0, 0.0]]);
         let store = FlatVectors::from_rows(vec![vec![1.0, 1.0], vec![2.0, 2.0]]);
         let mut out = vec![0.0; 3];
-        d.eval_flat_batch(&queries, &store, &mut out);
+        d.eval_filter_batch(&queries, &store, &mut out);
     }
 
     #[test]
@@ -2274,9 +2015,9 @@ mod tests {
         assert_eq!(store.decode_row(3)[0], 10.0);
     }
 
-    /// Lossy-backend kernels must equal "decode the row, then run the
-    /// canonical reduction" bit for bit, for both the single-query scan and
-    /// the tiled batch kernel.
+    /// Decode-path kernels on a lossy backend must equal "decode the row,
+    /// then run the canonical reduction" bit for bit, for both the
+    /// single-query scan and the tiled batch kernel.
     fn assert_backend_kernels_match_decoded_rows<E: FilterElem>() {
         for dim in [1, 3, 4, 5, 8, 67] {
             let weights: Vec<f64> = (0..dim).map(|i| 0.2 + (i % 5) as f64 * 0.37).collect();
@@ -2291,23 +2032,23 @@ mod tests {
             let store = FlatStore::<E>::from_rows_with_dim(dim, rows);
             let queries = synthetic_store(dim, 2 * QUERY_TILE + 3, 0.75);
             let mut batch = vec![f64::NAN; queries.len() * store.len()];
-            d.eval_flat_batch(&queries, &store, &mut batch);
+            d.eval_filter_batch(&queries, &store, &mut batch);
             let mut single = vec![f64::NAN; store.len()];
             for q in 0..queries.len() {
-                d.eval_flat(queries.row(q), &store, &mut single);
+                d.eval_filter(queries.row(q), &store, &mut single);
                 for (i, score) in single.iter().enumerate() {
                     let reference =
                         weighted_l1_row(&d.weights, queries.row(q), &store.decode_row(i));
                     assert_eq!(
                         score.to_bits(),
                         reference.to_bits(),
-                        "{} eval_flat: dim {dim}, query {q}, row {i}",
+                        "{} eval_filter: dim {dim}, query {q}, row {i}",
                         E::NAME
                     );
                     assert_eq!(
                         batch[q * store.len() + i].to_bits(),
                         reference.to_bits(),
-                        "{} eval_flat_batch: dim {dim}, query {q}, row {i}",
+                        "{} eval_filter_batch: dim {dim}, query {q}, row {i}",
                         E::NAME
                     );
                 }
@@ -2321,24 +2062,19 @@ mod tests {
     }
 
     #[test]
-    fn u8_kernels_score_exactly_the_decoded_rows() {
-        assert_backend_kernels_match_decoded_rows::<u8>();
-    }
-
-    #[test]
     fn lossy_backends_handle_empty_and_zero_dimensional_stores() {
         fn check<E: FilterElem>() {
             // Empty store with explicit dim.
             let store = FlatStore::<E>::with_dim(3);
             let mut out: Vec<f64> = Vec::new();
-            WeightedL1::uniform(3).eval_flat(&[1.0, 2.0, 3.0], &store, &mut out);
+            WeightedL1::uniform(3).eval_filter(&[1.0, 2.0, 3.0], &store, &mut out);
             assert!(out.is_empty(), "{}", E::NAME);
             // dim-0 rows: every distance is the empty sum.
             let mut store = FlatStore::<E>::with_dim(0);
             store.push(&[]);
             store.push(&[]);
             let mut out = vec![f64::NAN; 2];
-            WeightedL1::new(Vec::new()).eval_flat(&[], &store, &mut out);
+            WeightedL1::new(Vec::new()).eval_filter(&[], &store, &mut out);
             assert_eq!(out, vec![0.0, 0.0], "{}", E::NAME);
             assert!(store.decode_row(1).is_empty(), "{}", E::NAME);
             // push after the empty constructor keeps the dimensionality.
@@ -2370,7 +2106,7 @@ mod tests {
         let weights = FlatVectors::from_rows(vec![vec![1.0]]);
         let store = FlatVectors::from_rows(vec![vec![2.0]]);
         let mut out = vec![0.0; 2];
-        weighted_l1_flat_batch_per_query(&weights, &queries, &store, &mut out);
+        filter_scan_batch(QueryWeights::PerQuery(&weights), &queries, &store, &mut out);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub trait Embedding<O>: Send + Sync {
 
     /// Embed a whole query batch into one flat row-major [`FlatVectors`]
     /// buffer (row `q` is `F(queries[q])`), ready for the Q×N tiled filter
-    /// kernel `qse_distance::WeightedL1::eval_flat_batch`.
+    /// scan `qse_distance::WeightedL1::eval_filter_batch`.
     ///
     /// Embedding fans out across rayon worker threads via
     /// [`Self::embed_all`]; each row is bit-identical to [`Self::embed`] on

@@ -32,19 +32,20 @@
 //!   process) or a zero-copy borrow out of an `mmap`ed snapshot (the
 //!   `load_mmap` loaders); the scan kernels read both through the same
 //!   slice and are bit-identical across them;
-//! * the scan itself is the blocked batch kernel
-//!   [`WeightedL1::eval_flat`](qse_distance::WeightedL1::eval_flat) /
-//!   [`EmbeddedQuery::score_flat`](qse_core::EmbeddedQuery::score_flat) —
+//! * the scan itself is the filter scan
+//!   [`WeightedL1::eval_filter`](qse_distance::WeightedL1::eval_filter) /
+//!   [`EmbeddedQuery::score_filter`](qse_core::EmbeddedQuery::score_filter) —
 //!   fixed-width lanes, independent accumulators, no per-row allocation —
-//!   whose outputs are bit-identical to the row-by-row scalar path;
+//!   whose outputs on an `f64` store are bit-identical to the row-by-row
+//!   scalar path;
 //! * [`FilterRefineIndex::retrieve`] keeps the best `p` candidates with
 //!   `select_nth_unstable_by` — an O(n) selection — and only sorts those
 //!   `p`, instead of sorting the whole database (O(n log n));
 //! * [`FilterRefineIndex::retrieve_batch`] runs the batched pipeline:
 //!   batch-embed every query into flat storage (`embed_queries`), score the
-//!   whole batch with the Q×N *tiled* filter kernel
-//!   ([`WeightedL1::eval_flat_batch`](qse_distance::WeightedL1::eval_flat_batch)
-//!   / `EmbeddedQueryBatch::score_flat_batch`) — a tile of query rows stays
+//!   whole batch with the Q×N *tiled* filter scan
+//!   ([`WeightedL1::eval_filter_batch_range`](qse_distance::WeightedL1::eval_filter_batch_range)
+//!   / `EmbeddedQueryBatch::score_filter_batch_range`) — a tile of query rows stays
 //!   cache-resident while the database streams once per tile, and tiles fan
 //!   out across the persistent rayon worker pool — then select top-p and
 //!   refine per query in parallel. Every outcome is identical to calling
@@ -74,7 +75,7 @@
 //!
 //! The filter scan itself is dispatched through the backend's
 //! `FilterElem::scan_filter` hook: the exact backends run the decode-path
-//! kernels bit-identically to the historical scan, while `u8` stores are
+//! kernel bit-identically to the historical scan, while `u8` stores are
 //! scanned **in the integer domain** (`qse_distance::sad`) — the query is
 //! quantized onto the store's grid at scoring time and the weighted
 //! sum-of-absolute-differences accumulates in widened integer arithmetic
@@ -475,9 +476,8 @@ impl<O: Clone + Send + Sync, E: FilterElem> FilterRefineIndex<O, E> {
 
     /// The filter score of every database vector against `query`, plus the
     /// embedding-step cost. This is the O(n · dim) linear scan at the heart
-    /// of the filter step — one pass of the blocked weighted-L1 batch kernel
-    /// over the contiguous flat storage (bit-identical to scoring row by
-    /// row, see `qse_distance::vector::weighted_l1_flat`).
+    /// of the filter step — one pass of the filter scan over the contiguous
+    /// flat storage (see `qse_distance::vector::filter_scan`).
     fn filter_scores(&self, query: &O, distance: &dyn DistanceMeasure<O>) -> (Vec<f64>, usize) {
         let mut scores = vec![0.0; self.vectors.len()];
         match &self.kind {

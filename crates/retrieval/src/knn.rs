@@ -123,8 +123,8 @@ pub(crate) fn refine_in_place<'a, O: 'a>(
 }
 
 /// Exact k nearest neighbors of an embedded `query` within a flat row-major
-/// vector store under a (weighted) L1 distance, computed with the blocked
-/// batch kernel [`WeightedL1::eval_flat`] — one allocation-free pass over
+/// vector store under a (weighted) L1 distance, computed with the filter
+/// scan [`WeightedL1::eval_filter`] — one allocation-free pass over
 /// the contiguous buffer — followed by an O(n) selection under the same
 /// `(score, index)` order as [`knn`].
 ///
@@ -173,8 +173,8 @@ pub fn knn_flat<E: FilterElem>(
 /// The batched counterpart of [`knn_flat`], running the same tiled pipeline
 /// as the retrieval indexes (`filter_refine::tiled_query_pipeline`): the
 /// batch is cut into query tiles fanned out across the persistent worker
-/// pool, each tile scored in one pass of the tiled batch kernel
-/// [`WeightedL1::eval_flat_batch`] (the tile's query rows stay
+/// pool, each tile scored in one pass of the tiled filter scan
+/// [`WeightedL1::eval_filter_batch_range`] (the tile's query rows stay
 /// cache-resident while the store streams once per tile; no batch-sized
 /// score matrix is ever materialized), followed by the O(n)
 /// `(score, index)` selection per query on the tile's still-hot rows.

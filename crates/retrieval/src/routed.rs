@@ -9,9 +9,9 @@
 //! 1. **Partition (indexing time)** — a seeded, deterministic k-means
 //!    ([`qse_embedding::KMeans`]) splits the embedded database into `C`
 //!    cells. Each cell owns its own [`FlatStore`], so the entire existing
-//!    backend machinery — `f64`/`f32` decode kernels, the `u8` integer
-//!    SAD kernel, the `scan_filter` dispatch hooks, the Q×N tiled batch
-//!    paths — is reused per cell **unchanged**. All cells of one `u8`
+//!    backend machinery — the filter scan entries and each backend's
+//!    kernel behind them (`f64`/`f32` decode, `u8` integer SAD) — is
+//!    reused per cell **unchanged**. All cells of one `u8`
 //!    index share a *single* quantization grid fitted over the whole
 //!    collection ([`FlatStore::from_rows_with_params`]), so a row's
 //!    stored bytes — and with them its filter score — are exactly what
@@ -53,11 +53,10 @@ use crate::error::{check_query_params, QueryError};
 use crate::filter_refine::{effective_p, top_p_by_score, FilterKind, RetrievalOutcome};
 use crate::knn::refine_candidates;
 use qse_core::QseModel;
-use qse_distance::vector::{
-    weighted_l1_filter_batch_per_query_range, weighted_l1_filter_batch_range,
-    weighted_l1_filter_flat, weighted_l1_row,
+use qse_distance::vector::{filter_scan, filter_scan_range, weighted_l1_row};
+use qse_distance::{
+    DistanceMeasure, FilterElem, FlatStore, FlatVectors, MappedWords, QueryWeights, WeightedL1,
 };
-use qse_distance::{DistanceMeasure, FilterElem, FlatStore, FlatVectors, MappedWords, WeightedL1};
 use qse_embedding::{Embedding, KMeans, KMeansConfig};
 use rayon::prelude::*;
 
@@ -499,7 +498,7 @@ impl<O: Clone + Send + Sync, E: FilterElem> RoutedIndex<O, E> {
         let mut offset = 0;
         for &c in &visited {
             let cell = &self.cells[c];
-            weighted_l1_filter_flat(
+            filter_scan(
                 &weights,
                 &coords,
                 cell,
@@ -627,33 +626,13 @@ impl<O: Clone + Send + Sync, E: FilterElem> RoutedIndex<O, E> {
                     dim,
                     group.iter().map(|&q| coords_row(q).to_vec()).collect(),
                 );
+                let wrows = FlatVectors::from_rows_with_dim(
+                    dim,
+                    group.iter().map(|&q| weights_row(q).to_vec()).collect(),
+                );
                 let mut out = vec![0.0; group.len() * store.len()];
-                match &embedded {
-                    RoutedBatch::Global(filter, _) => {
-                        weighted_l1_filter_batch_range(
-                            filter.weights(),
-                            &gathered,
-                            0,
-                            group.len(),
-                            store,
-                            &mut out,
-                        );
-                    }
-                    RoutedBatch::QuerySensitive(_) => {
-                        let wrows = FlatVectors::from_rows_with_dim(
-                            dim,
-                            group.iter().map(|&q| weights_row(q).to_vec()).collect(),
-                        );
-                        weighted_l1_filter_batch_per_query_range(
-                            &wrows,
-                            &gathered,
-                            0,
-                            group.len(),
-                            store,
-                            &mut out,
-                        );
-                    }
-                }
+                let weights = QueryWeights::PerQuery(&wrows);
+                filter_scan_range(weights, &gathered, 0, group.len(), store, &mut out);
                 out
             })
             .collect();

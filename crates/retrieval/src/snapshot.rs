@@ -81,8 +81,10 @@
 //! trained [`QseModel`].
 
 use std::fmt;
+use std::io::Write;
 use std::ops::Range;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::dynamic::{DynamicIndex, RoutingState};
@@ -1125,9 +1127,11 @@ where
     /// cannot be mapped at all (unsupported target, empty file, syscall
     /// failure) fall back to the owned [`Self::load`], which yields
     /// identical results — so callers never need to branch on mapping
-    /// support. Note the one inherent `mmap` caveat: a file truncated by
-    /// *another process while mapped* can fault on first element touch;
-    /// files truncated before loading fail with typed errors as always.
+    /// support. Note the one inherent `mmap` caveat: a file truncated or
+    /// rewritten in place by *another process while mapped* can fault on
+    /// first element touch ([`Self::save`] never does that — it replaces
+    /// the file by rename); files truncated before loading fail with typed
+    /// errors as always.
     ///
     /// # Errors
     /// As [`Self::from_mapped`] / [`Self::load`].
@@ -1178,13 +1182,15 @@ where
         })
     }
 
-    /// [`Self::to_snapshot_bytes`] written to `path`.
+    /// [`Self::to_snapshot_bytes`] written to `path` atomically — to a
+    /// temporary file in the same directory, `sync_all`ed, then renamed
+    /// over `path` — so an index [`Self::load_mmap`]ed from the old file
+    /// keeps answering from it.
     ///
     /// # Errors
     /// As [`Self::to_snapshot_bytes`], plus [`SnapshotError::Io`].
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        std::fs::write(path, self.to_snapshot_bytes()?)?;
-        Ok(())
+        write_atomically(path.as_ref(), &self.to_snapshot_bytes()?)
     }
 
     /// [`Self::from_snapshot_bytes`] read from `path`.
@@ -1194,6 +1200,44 @@ where
     pub fn load(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
         Self::from_snapshot_bytes(&std::fs::read(path)?)
     }
+}
+
+/// Write `bytes` to `path` so that `path` names either the old file or
+/// the complete new one, never a partial write: the bytes go to a
+/// temporary file in the same directory, are `sync_all`ed, and the
+/// temporary is renamed over `path`. Because the old file is replaced
+/// rather than truncated and rewritten, a `load_mmap`ed index over it
+/// keeps its pages (the mapping holds the old inode) — an in-place write
+/// would fault it with `SIGBUS` or change its answers under it.
+fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let name = path.file_name().ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("snapshot path {} has no file name", path.display()),
+        )
+    })?;
+    let mut tmp_name = std::ffi::OsString::from(".");
+    tmp_name.push(name);
+    tmp_name.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = path.with_file_name(tmp_name);
+    let written = std::fs::OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(&tmp)
+        .and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    Ok(written?)
 }
 
 // ---------------------------------------------------------------------
@@ -1311,13 +1355,15 @@ where
         })
     }
 
-    /// [`Self::to_snapshot_bytes`] written to `path`.
+    /// [`Self::to_snapshot_bytes`] written to `path` atomically — to a
+    /// temporary file in the same directory, `sync_all`ed, then renamed
+    /// over `path` — so an index [`Self::load_mmap`]ed from the old file
+    /// keeps answering from it.
     ///
     /// # Errors
     /// As [`Self::to_snapshot_bytes`], plus [`SnapshotError::Io`].
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        std::fs::write(path, self.to_snapshot_bytes()?)?;
-        Ok(())
+        write_atomically(path.as_ref(), &self.to_snapshot_bytes()?)
     }
 
     /// [`Self::from_snapshot_bytes`] read from `path`.
@@ -1496,13 +1542,15 @@ where
         })
     }
 
-    /// [`Self::to_snapshot_bytes`] written to `path`.
+    /// [`Self::to_snapshot_bytes`] written to `path` atomically — to a
+    /// temporary file in the same directory, `sync_all`ed, then renamed
+    /// over `path` — so an index [`Self::load_mmap`]ed from the old file
+    /// keeps answering from it.
     ///
     /// # Errors
     /// As [`Self::to_snapshot_bytes`], plus [`SnapshotError::Io`].
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        std::fs::write(path, self.to_snapshot_bytes()?)?;
-        Ok(())
+        write_atomically(path.as_ref(), &self.to_snapshot_bytes()?)
     }
 
     /// [`Self::from_snapshot_bytes`] read from `path`.

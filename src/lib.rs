@@ -80,7 +80,7 @@ pub mod prelude {
     };
     pub use qse_distance::{
         ConstrainedDtw, CountingDistance, DistanceMatrix, DistanceMeasure, FilterElem, FlatStore,
-        FlatVectors, LpDistance, PointSet, QuantParams, SadQuery, SadQueryBatch,
+        FlatVectors, LpDistance, PointSet, QuantParams, QueryWeights, SadQuery,
         ShapeContextDistance, TimeSeries, WeightedL1,
     };
     pub use qse_embedding::{

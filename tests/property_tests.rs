@@ -15,11 +15,11 @@
 //! * embedding-prefix consistency,
 //! * filter-and-refine recall = 1 when `p = |database|`,
 //! * top-p selection ≡ full-sort prefix for every `p` (the filter hot path),
-//! * the blocked batch kernel `WeightedL1::eval_flat` ≡ row-by-row `eval`
-//!   **bit for bit** at random dimensionalities 1–67 (including widths that
-//!   are not multiples of the kernel's lane count),
-//! * the Q×N tiled kernel `WeightedL1::eval_flat_batch` ≡ per-query
-//!   `eval_flat` **bit for bit** across every dimensionality 1–67, batch
+//! * the filter scan `WeightedL1::eval_filter` over an `f64` store ≡
+//!   row-by-row `eval` **bit for bit** at random dimensionalities 1–67
+//!   (including widths that are not multiples of the kernel's lane count),
+//! * the Q×N tiled scan `WeightedL1::eval_filter_batch` ≡ per-query
+//!   `eval_filter` **bit for bit** across every dimensionality 1–67, batch
 //!   sizes straddling the tile width, empty/tiny/large stores, and worker
 //!   counts 1/2/8 (the tiling and the fan-out must both be invisible).
 
@@ -512,7 +512,7 @@ fn eval_flat_kernel_is_bit_identical_to_row_by_row_eval() {
         let d = WeightedL1::new(weights);
         let store = FlatVectors::from_rows_with_dim(dim, row_data);
         let mut out = vec![f64::NAN; store.len()];
-        d.eval_flat(&query, &store, &mut out);
+        d.eval_filter(&query, &store, &mut out);
         for (i, flat) in out.iter().enumerate() {
             let scalar = d.eval(&query, store.row(i));
             assert_eq!(
@@ -524,9 +524,9 @@ fn eval_flat_kernel_is_bit_identical_to_row_by_row_eval() {
     }
 }
 
-/// One batch-kernel identity check: `eval_flat_batch` over `qcount` queries
-/// and `rows` database rows at dimensionality `dim` must reproduce the
-/// per-query `eval_flat` scan bit for bit.
+/// One batch-kernel identity check: `eval_filter_batch` over `qcount`
+/// queries and `rows` database rows at dimensionality `dim` must reproduce
+/// the per-query `eval_filter` scan bit for bit.
 fn assert_batch_kernel_identity(rng: &mut StdRng, dim: usize, qcount: usize, rows: usize) {
     let weights: Vec<f64> = (0..dim)
         .map(|_| {
@@ -551,10 +551,10 @@ fn assert_batch_kernel_identity(rng: &mut StdRng, dim: usize, qcount: usize, row
             .collect(),
     );
     let mut batch = vec![f64::NAN; qcount * rows];
-    d.eval_flat_batch(&queries, &store, &mut batch);
+    d.eval_filter_batch(&queries, &store, &mut batch);
     let mut single = vec![f64::NAN; rows];
     for q in 0..qcount {
-        d.eval_flat(queries.row(q), &store, &mut single);
+        d.eval_filter(queries.row(q), &store, &mut single);
         for (i, score) in single.iter().enumerate() {
             assert_eq!(
                 batch[q * rows + i].to_bits(),

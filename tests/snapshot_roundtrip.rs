@@ -10,7 +10,7 @@
 //! decisions), a *churned* dynamic index (insert / remove / refit after
 //! build, then save) round-trips and keeps editing after the load, and
 //! the file-level `save` / `load` wrappers behave like the byte-level
-//! API.
+//! API, and saving over a mapped snapshot leaves the mapping intact.
 
 mod common;
 
@@ -569,4 +569,73 @@ fn snapshots_are_thread_count_invariant() {
             assert_eq!(index.retrieve_batch(&queries, &db, &d, 4, 20), expected);
         });
     }
+}
+
+/// Saving over a snapshot a server has mapped must not touch the mapped
+/// bytes: `save` replaces the file by rename, so the mapped index keeps
+/// answering bit-identically from the old file while `load` sees the new
+/// one. (An in-place write truncates the file under the live mapping —
+/// `SIGBUS` on the next page touch, or the new index's bytes read as the
+/// old one's.)
+#[test]
+fn saving_over_a_mapped_snapshot_leaves_the_mapping_intact() {
+    let d = LpDistance::l2();
+    let queries = clustered(12, 173);
+    let (k, p) = (3, 20);
+    let config = RoutedConfig {
+        cells: 6,
+        n_probe: 3,
+        ..RoutedConfig::default()
+    };
+    let db_a = clustered(400, 171);
+    let a = RoutedIndex::<_, u8>::build_query_sensitive_with_store(
+        train_model(&db_a),
+        &db_a,
+        &d,
+        config,
+    );
+    let db_b = clustered(90, 175);
+    let b = RoutedIndex::<_, u8>::build_query_sensitive_with_store(
+        train_model(&db_b),
+        &db_b,
+        &d,
+        config,
+    );
+    let bytes_a = a.to_snapshot_bytes().unwrap();
+    assert!(b.to_snapshot_bytes().unwrap().len() < bytes_a.len());
+
+    let file = ScratchFile::new("overwrite-mapped");
+    a.save(&file.0).unwrap();
+    let mapped_a = RoutedIndex::<Vec<f64>, u8>::load_mmap(&file.0).unwrap();
+    b.save(&file.0).unwrap();
+
+    let owned_a = RoutedIndex::<Vec<f64>, u8>::from_snapshot_bytes(&bytes_a).unwrap();
+    assert_eq!(
+        mapped_a.retrieve_batch(&queries, &db_a, &d, k, p),
+        owned_a.retrieve_batch(&queries, &db_a, &d, k, p)
+    );
+    for query in &queries {
+        assert_eq!(
+            mapped_a.retrieve(query, &db_a, &d, k, p),
+            owned_a.retrieve(query, &db_a, &d, k, p)
+        );
+    }
+    let loaded_b = RoutedIndex::<Vec<f64>, u8>::load(&file.0).unwrap();
+    assert_eq!(loaded_b.len(), b.len());
+    assert_eq!(
+        loaded_b.retrieve_batch(&queries, &db_b, &d, k, p),
+        b.retrieve_batch(&queries, &db_b, &d, k, p)
+    );
+    // No temporary file is left behind next to the snapshot.
+    let name = file.0.file_name().unwrap().to_string_lossy().into_owned();
+    let dir = file.0.parent().unwrap();
+    let leftovers = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(Result::ok)
+        .filter(|e| {
+            let entry = e.file_name().to_string_lossy().into_owned();
+            entry.starts_with(&format!(".{name}."))
+        })
+        .count();
+    assert_eq!(leftovers, 0);
 }

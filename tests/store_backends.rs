@@ -170,9 +170,11 @@ fn u8_raw_filter_scores_respect_the_half_grid_step_bound() {
             * (1.0 + 1e-9)
             + 1e-9;
         let mut s_exact = vec![0.0; exact.len()];
-        let mut s_quant = vec![0.0; quant.len()];
-        d.eval_flat(&query, &exact, &mut s_exact);
-        d.eval_flat(&query, &quant, &mut s_quant);
+        d.eval_filter(&query, &exact, &mut s_exact);
+        // The store-side bound is about the decoded rows themselves.
+        let s_quant: Vec<f64> = (0..quant.len())
+            .map(|i| d.eval(&query, &quant.decode_row(i)))
+            .collect();
         for (i, (a, b)) in s_exact.iter().zip(&s_quant).enumerate() {
             assert!(
                 (a - b).abs() <= bound,
@@ -196,8 +198,8 @@ fn f32_raw_filter_scores_stay_within_single_precision_rounding() {
     let single = FlatStore::<f32>::from_rows_with_dim(dim, rows.clone());
     let mut s_exact = vec![0.0; exact.len()];
     let mut s_single = vec![0.0; single.len()];
-    d.eval_flat(&query, &exact, &mut s_exact);
-    d.eval_flat(&query, &single, &mut s_single);
+    d.eval_filter(&query, &exact, &mut s_exact);
+    d.eval_filter(&query, &single, &mut s_single);
     for (i, (a, b)) in s_exact.iter().zip(&s_single).enumerate() {
         // Per-coordinate f32 rounding is at most |v| · 2⁻²⁴; doubling the
         // exponent covers the summation's own rounding comfortably.
@@ -376,7 +378,7 @@ fn u8_integer_filter_scores_respect_the_widened_two_sided_bound() {
         let bound = (store_bound + query_bound) * (1.0 + 1e-9) + 1e-9;
         let mut s_exact = vec![0.0; exact.len()];
         let mut s_int = vec![0.0; quant.len()];
-        d.eval_flat(&query, &exact, &mut s_exact);
+        d.eval_filter(&query, &exact, &mut s_exact);
         d.eval_filter(&query, &quant, &mut s_int);
         for (i, (a, b)) in s_exact.iter().zip(&s_int).enumerate() {
             assert!(
